@@ -276,12 +276,29 @@ def _virtual_suffix(last: int, count: int) -> list[int]:
     return out
 
 
+class _WindowTable(dict):
+    """Window -> output table of one rule, filled as windows first appear."""
+
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Callable[[ColourWindow], int]) -> None:
+        super().__init__()
+        self.rule = rule
+
+    def __missing__(self, window: ColourWindow) -> int:
+        value = self[window] = self.rule(window)
+        return value
+
+
 def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstance:
     """Relabel an instance by applying the algorithm's rule at every node.
 
     Windows wrap on cycles.  On paths, entries beyond the endpoints are
     simulated by the virtual-extension rule (prev(x) = 1 unless x = 1, then
-    2), applied backwards from the head and mirrored past the tail.
+    2), applied backwards from the head and mirrored past the tail.  A stage
+    with no more valid windows than the instance has nodes is evaluated
+    through a table, once per distinct window; any other stage calls its
+    rule at every node.
     """
     if any(x not in alg.in_palette for x in instance.labels):
         raise ValueError("instance labels do not lie in the algorithm's input palette")
@@ -300,7 +317,11 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
 
     for stage in alg.stages or (alg,):
         wl = stage.window_length
-        seq = list(map(stage.rule, zip(*(seq[i:] for i in range(wl)))))
+        rule = stage.rule
+        n = stage.in_palette.size
+        if isinstance(n, int) and count_proper_sequences(n, wl) <= length:
+            rule = _WindowTable(rule).__getitem__
+        seq = list(map(rule, zip(*(seq[i:] for i in range(wl)))))
     assert len(seq) == length
     return PathInstance(instance.topology, tuple(seq))
 

@@ -10,6 +10,7 @@ pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from math import comb
 from typing import Iterable, Sequence
 
@@ -40,8 +41,14 @@ def colex_unrank(rank: int, k: int, m: int) -> frozenset[int]:
         raise ValueError("need 1 <= k <= m")
     if not 1 <= rank <= comb(m, k):
         raise ValueError(f"rank {rank} outside [1, C({m},{k})]")
+    mask = _colex_unrank_mask(rank, k, m)
+    return frozenset(i for i in range(1, m + 1) if mask >> (i - 1) & 1)
+
+
+def _colex_unrank_mask(rank: int, k: int, m: int) -> int:
+    # The one unranker: bit i-1 of the mask stands for element i.
     r = rank - 1
-    members = []
+    mask = 0
     hi = m
     for i in range(k, 0, -1):
         # largest a <= hi with C(a-1, i) <= r
@@ -49,24 +56,25 @@ def colex_unrank(rank: int, k: int, m: int) -> frozenset[int]:
         while comb(a - 1, i) > r:
             a -= 1
         r -= comb(a - 1, i)
-        members.append(a)
-        hi = a - 1
-    return frozenset(members)
-
-
-def _colex_unrank_mask(rank: int, k: int, m: int) -> int:
-    # Bitmask variant used on the hot path; bit i-1 stands for element i.
-    r = rank - 1
-    mask = 0
-    hi = m
-    for i in range(k, 0, -1):
-        a = hi
-        while comb(a - 1, i) > r:
-            a -= 1
-        r -= comb(a - 1, i)
         mask |= 1 << (a - 1)
         hi = a - 1
     return mask
+
+
+def _colex_masks(k: int, count: int) -> list[int]:
+    """Subset masks of colex ranks 1..count, in one pass of Gosper's hack.
+
+    Colex order on k-subsets is increasing numeric order of their bitmasks,
+    and Gosper's hack steps from one k-bit mask to the next larger one.
+    """
+    masks = []
+    x = (1 << k) - 1
+    for _ in range(count):
+        masks.append(x)
+        low = x & -x
+        high = x + low
+        x = (((high ^ x) >> 2) // low) | high
+    return masks
 
 
 @dataclass(frozen=True)
@@ -134,30 +142,45 @@ def least_ns_k(c: int | TowerValue) -> int:
     return k
 
 
+# Palettes up to this many colours read their subset masks from a list
+# built by one Gosper pass (about 36 bytes per colour); larger and symbolic
+# palettes unrank each colour on first sight and cache it.
+_MASK_LIST_LIMIT = 1 << 20
+
+
 def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     """One-round reduction from n <= C(2k,k) colours to 2k colours.
 
     Colours are read as k-subsets of [2k] through the colex code; a node
     with colour v receiving u from its predecessor outputs min f(u) \\ f(v).
-    Evaluated in closed form, caching subset masks per colour seen.
+    Evaluated in closed form.  For palettes of at most 2^20 colours the first
+    call builds the masks of all n colours in one pass and publishes the
+    finished list, so concurrent callers at worst build it twice; larger
+    palettes cache masks per colour in a ``functools.lru_cache``.
     """
     if k < 2:
         raise ValueError("subset-code reduction needs k >= 2")
     if not _fits_subset_code(n, k):
         raise ValueError(f"n={n} exceeds C({2 * k},{k}) colour codes")
-    masks: dict[int, int] = {}
 
-    def mask(colour: int) -> int:
-        m = masks.get(colour)
-        if m is None:
-            m = _colex_unrank_mask(colour, k, 2 * k)
-            masks[colour] = m
-        return m
+    if isinstance(n, int) and n <= _MASK_LIST_LIMIT:
+        masks: list[int] | None = None
 
-    def rule(window: ColourWindow) -> int:
-        u, v = window
-        d = mask(u) & ~mask(v)
-        return (d & -d).bit_length()
+        def rule(window: ColourWindow) -> int:
+            nonlocal masks
+            if masks is None:
+                masks = [0, *_colex_masks(k, n)]  # masks[c] is colour c's subset
+            u, v = window
+            d = masks[u] & ~masks[v]
+            return (d & -d).bit_length()
+
+    else:
+        mask = lru_cache(maxsize=None)(partial(_colex_unrank_mask, k=k, m=2 * k))
+
+        def rule(window: ColourWindow) -> int:
+            u, v = window
+            d = mask(u) & ~mask(v)
+            return (d & -d).bit_length()
 
     return ReductionAlgorithm(
         ONE_SIDED, 1, Palette(n), Palette(2 * k), rule, name=f"ns k={format_count(k)}"

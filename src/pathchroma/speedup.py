@@ -74,23 +74,53 @@ class SpeedUpResult:
     decode: Callable[[int], frozenset[int]]
 
 
+def _speedable_palette(alg: ReductionAlgorithm) -> int:
+    """The output palette size of ``alg``, once the speed-up is known to apply."""
+    if alg.sidedness != ONE_SIDED:
+        raise ValueError("the speed-up applies to one-sided algorithms only")
+    if alg.rounds < 1:
+        raise ValueError("cannot speed up a 0-round algorithm")
+    if not isinstance(alg.in_palette.size, int):
+        raise ValueError("the speed-up needs a concrete input palette")
+    return alg.out_palette.size
+
+
+def _family_bits(window: ColourWindow, bits: int, c: int) -> int:
+    """Return ``bits``, the successor colours seen from ``window``, if they form a family.
+
+    A proper source leaves the successor at least one of its c colours, and
+    never all of them.
+    """
+    if bits == 0 or bits == (1 << c) - 1:
+        raise ValueError(
+            "source algorithm violates its properness contract "
+            f"(window {window} realises {'no' if bits == 0 else 'every'} colour)"
+        )
+    return bits
+
+
+def _faster(alg: ReductionAlgorithm, rule: Callable[[ColourWindow], int]) -> ReductionAlgorithm:
+    return ReductionAlgorithm(
+        ONE_SIDED,
+        alg.rounds - 1,
+        alg.in_palette,
+        Palette((1 << alg.out_palette.size) - 2),
+        rule,
+        name=f"speedup({alg.name})",
+    )
+
+
 def speed_up(alg: ReductionAlgorithm) -> SpeedUpResult:
     """One round faster, with outputs over non-empty proper subsets of [c].
 
     The new rule enumerates every colour the source rule could give the
     node's successor and returns the colex rank of that set.  Also returns
-    the decoder from ranks back to member sets.
+    the decoder from ranks back to member sets.  The rule evaluates the
+    source on demand and caches its answer per window.
     """
-    if alg.sidedness != ONE_SIDED:
-        raise ValueError("the speed-up applies to one-sided algorithms only")
-    if alg.rounds < 1:
-        raise ValueError("cannot speed up a 0-round algorithm")
+    c = _speedable_palette(alg)
     n = alg.in_palette.size
-    if not isinstance(n, int):
-        raise ValueError("the speed-up needs a concrete input palette")
-    c = alg.out_palette.size
     rule = alg.rule
-    full = (1 << c) - 1
     cache: dict[ColourWindow, int] = {}
 
     def fast_rule(window: ColourWindow) -> int:
@@ -101,29 +131,41 @@ def speed_up(alg: ReductionAlgorithm) -> SpeedUpResult:
             for y in range(1, n + 1):
                 if y != last:
                     bits |= 1 << (rule(window + (y,)) - 1)
-            if bits == 0 or bits == full:
-                raise ValueError(
-                    "source algorithm violates its properness contract "
-                    f"(window {window} realises {'no' if bits == 0 else 'every'} colour)"
-                )
-            cache[window] = bits
+            bits = cache[window] = _family_bits(window, bits, c)
         return bits
 
-    faster = ReductionAlgorithm(
-        ONE_SIDED,
-        alg.rounds - 1,
-        alg.in_palette,
-        Palette((1 << c) - 2),
-        fast_rule,
-        name=f"speedup({alg.name})",
-    )
-    return SpeedUpResult(faster, lambda rank: decode_family(rank, c))
+    return SpeedUpResult(_faster(alg, fast_rule), lambda rank: decode_family(rank, c))
+
+
+def _rule_table(alg: ReductionAlgorithm) -> dict[ColourWindow, int]:
+    """The algorithm's output on every valid window, in enumeration order."""
+    rule = alg.rule
+    return {w: rule(w) for w in proper_sequences(alg.in_palette.size, alg.window_length)}
+
+
+def _speed_up_table(
+    table: Mapping[ColourWindow, int], n: int, wl: int, c: int
+) -> dict[ColourWindow, int]:
+    """The table of the speed-up, from the table of its c-colour source.
+
+    The source's windows have length wl + 1.  Each one adds its colour to
+    the family of its prefix, so one pass over the source table gives
+    every family that the speed-up's rule would collect.
+    """
+    faster = dict.fromkeys(proper_sequences(n, wl), 0)
+    for window, colour in table.items():
+        faster[window[:-1]] |= 1 << (colour - 1)
+    for window, bits in faster.items():
+        _family_bits(window, bits, c)
+    return faster
 
 
 @dataclass(frozen=True)
 class SpeedUpLevel:
     """One algorithm of the tower plus its realized colours.
 
+    ``table`` maps every valid window to the algorithm's encoded output;
+    above level 0 the algorithm's rule is a lookup in that table.
     ``semantic`` decodes each realized encoded colour into the nested family
     of base colours it stands for (plain ints at level 0).
     """
@@ -131,6 +173,7 @@ class SpeedUpLevel:
     algorithm: ReductionAlgorithm
     realized: frozenset[int]
     semantic: Mapping[int, Colour]
+    table: Mapping[ColourWindow, int]
 
     def colours(self) -> frozenset[Colour]:
         return frozenset(self.semantic[r] for r in self.realized)
@@ -164,22 +207,55 @@ def _as_lookup(semantic) -> Callable[[int], Colour]:
     return semantic
 
 
+def _check_sequences(alg: ReductionAlgorithm, length: int, budget: int | None) -> None:
+    budget = DEFAULT_BUDGET if budget is None else budget
+    cost = count_proper_sequences(alg.in_palette.size, length)
+    if cost > budget:
+        raise BudgetExceeded(f"{cost} sequences exceed budget {budget}")
+
+
+def _successor_relation(table: Mapping[ColourWindow, int], wl: int, semantic) -> ColourRelation:
+    """The successor relation of a table over the windows of length ``wl``.
+
+    A sequence one entry longer than a window is x+v+y around a stem v of
+    length wl-1: its first window is x+v and its last v+y.  For a non-empty
+    stem every x != v[0] goes with every y != v[-1], so the relation is the
+    union over stems of {T[x+v]} x {T[v+y]}.  An empty stem (wl = 1) couples
+    the two sides through x != y instead.
+    """
+    if wl == 1:
+        raw = {(a, b) for (x,), a in table.items() for (y,), b in table.items() if x != y}
+    else:
+        own: dict[ColourWindow, set[int]] = {}  # stem v -> {T[x+v]}
+        successor: dict[ColourWindow, set[int]] = {}  # stem v -> {T[v+y]}
+        for window, colour in table.items():
+            own.setdefault(window[1:], set()).add(colour)
+            successor.setdefault(window[:-1], set()).add(colour)
+        sides = {(frozenset(xs), frozenset(successor[stem])) for stem, xs in own.items()}
+        raw = {(a, b) for xs, ys in sides for a in xs for b in ys}
+    sem = _as_lookup(semantic)
+    return ColourRelation("successor", frozenset((sem(a), sem(b)) for a, b in raw))
+
+
 def successor_relation(
     alg: ReductionAlgorithm, *, semantic=None, budget: int | None = None
 ) -> ColourRelation:
-    """All (own output, successor output) pairs over adjacent-distinct inputs."""
-    budget = DEFAULT_BUDGET if budget is None else budget
-    n = alg.in_palette.size
-    wl = alg.window_length
-    cost = count_proper_sequences(n, wl + 1)
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} sequences exceed budget {budget}")
-    sem = _as_lookup(semantic)
-    rule = alg.rule
-    pairs = set()
-    for seq in proper_sequences(n, wl + 1):
-        pairs.add((sem(rule(seq[:wl])), sem(rule(seq[1:]))))
-    return ColourRelation("successor", frozenset(pairs))
+    """All (own output, successor output) pairs over adjacent-distinct inputs.
+
+    The budget counts the sequences one entry longer than the window, but
+    the rule is evaluated only once per window.
+    """
+    _check_sequences(alg, alg.window_length + 1, budget)
+    return _successor_relation(_rule_table(alg), alg.window_length, semantic)
+
+
+def _output_relation(
+    table: Mapping[ColourWindow, int], faster_rule, semantic, semantic_faster
+) -> ColourRelation:
+    raw = {(colour, faster_rule(window[1:])) for window, colour in table.items()}
+    sem_a = _as_lookup(semantic)
+    sem_b = _as_lookup(semantic_faster)
+    return ColourRelation("output", frozenset((sem_a(a), sem_b(b)) for a, b in raw))
 
 
 def output_relation(
@@ -198,18 +274,8 @@ def output_relation(
     """
     if faster.rounds != alg.rounds - 1:
         raise ValueError("expected the one-round speed-up of the source algorithm")
-    budget = DEFAULT_BUDGET if budget is None else budget
-    n = alg.in_palette.size
-    wl = alg.window_length
-    cost = count_proper_sequences(n, wl)
-    if cost > budget:
-        raise BudgetExceeded(f"{cost} sequences exceed budget {budget}")
-    sem_a = _as_lookup(semantic)
-    sem_b = _as_lookup(semantic_faster)
-    pairs = set()
-    for window in proper_sequences(n, wl):
-        pairs.add((sem_a(alg.rule(window)), sem_b(faster.rule(window[1:]))))
-    return ColourRelation("output", frozenset(pairs))
+    _check_sequences(alg, alg.window_length, budget)
+    return _output_relation(_rule_table(alg), faster.rule, semantic, semantic_faster)
 
 
 def lemma7_pairs(output_rel: ColourRelation) -> frozenset[tuple[Colour, Colour]]:
@@ -249,19 +315,17 @@ class SpeedUpTower:
 
     def successor_relation(self, k: int) -> ColourRelation:
         level = self.levels[k]
-        return successor_relation(
-            level.algorithm, semantic=level.semantic, budget=self.budget
-        )
+        wl = level.algorithm.window_length
+        _check_sequences(level.algorithm, wl + 1, self.budget)
+        return _successor_relation(level.table, wl, level.semantic)
 
     def output_relation(self, k: int) -> ColourRelation:
         if k + 1 >= len(self.levels):
             raise ValueError(f"tower has no level {k + 1}")
-        return output_relation(
-            self.levels[k].algorithm,
-            self.levels[k + 1].algorithm,
-            semantic=self.levels[k].semantic,
-            semantic_faster=self.levels[k + 1].semantic,
-            budget=self.budget,
+        level, faster = self.levels[k], self.levels[k + 1]
+        _check_sequences(level.algorithm, level.algorithm.window_length, self.budget)
+        return _output_relation(
+            level.table, faster.table.__getitem__, level.semantic, faster.semantic
         )
 
     def compose_colouring(self, colouring: Mapping, k: int) -> ReductionAlgorithm:
@@ -272,7 +336,13 @@ class SpeedUpTower:
 def iterate_speed_up(
     alg: ReductionAlgorithm, k: int, *, budget: int | None = None
 ) -> SpeedUpTower:
-    """Apply the speed-up k times, recording realized colours at every level."""
+    """Apply the speed-up k times, recording realized colours at every level.
+
+    Level 0 evaluates ``alg`` once per window into a table, and each higher
+    level is built from the table below it, so the source rule is never
+    evaluated again.  The budget counts one evaluation per window of every
+    level.
+    """
     if k < 0 or k > alg.rounds:
         raise ValueError("can iterate between 0 and rounds(alg) times")
     budget = DEFAULT_BUDGET if budget is None else budget
@@ -282,27 +352,26 @@ def iterate_speed_up(
 
     levels: list[SpeedUpLevel] = []
     spent = 0
-    current = alg
-    decode: Callable[[int], frozenset[int]] | None = None
+    wl = alg.window_length
     for _ in range(k + 1):
-        wl = current.window_length
-        cost = count_proper_sequences(n, wl)
-        spent += cost
+        below = levels[-1] if levels else None
+        if below is not None:
+            c = _speedable_palette(below.algorithm)
+            wl -= 1
+        spent += count_proper_sequences(n, wl)
         if spent > budget:
             raise BudgetExceeded(f"{spent} window evaluations exceed budget {budget}")
-        realized = frozenset(current.rule(w) for w in proper_sequences(n, wl))
-        if decode is None:
-            semantic: dict[int, Colour] = {r: r for r in realized}
+        if below is None:
+            table = _rule_table(alg)
+            realized = frozenset(table.values())
+            levels.append(SpeedUpLevel(alg, realized, {r: r for r in realized}, table))
         else:
-            prev = levels[-1].semantic
-            semantic = {
-                r: frozenset(prev[x] for x in decode(r)) for r in realized
-            }
-        levels.append(SpeedUpLevel(current, realized, semantic))
-        if len(levels) <= k:
-            result = speed_up(current)
-            current = result.algorithm
-            decode = result.decode
+            table = _speed_up_table(below.table, n, wl, c)
+            realized = frozenset(table.values())
+            prev = below.semantic
+            semantic = {r: frozenset(prev[x] for x in decode_family(r, c)) for r in realized}
+            faster = _faster(below.algorithm, table.__getitem__)
+            levels.append(SpeedUpLevel(faster, realized, semantic, table))
     return SpeedUpTower(tuple(levels), budget)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -30,6 +31,7 @@ from pathchroma.model import (
     tower,
     two_sided_from_one_sided,
 )
+from pathchroma.reduce import compose, cv_algorithm, ns_schedule, shift_reduce
 
 
 def test_log_star_small_values():
@@ -288,3 +290,55 @@ def test_palette_membership():
     assert 1 in p and 4 in p and 5 not in p and 0 not in p
     big = Palette(TowerValue(6))
     assert 10**100 in big
+
+
+# --- table and closure paths of the simulator --------------------------------
+
+
+def _reference_run(alg, instance):
+    # Evaluate the (composed) rule once per node on the node's own window,
+    # extending paths backwards by prev(x) = 1 unless x = 1, then 2.
+    t = alg.rounds
+    labels = list(instance.labels)
+    if instance.topology == CYCLE:
+        seq = [labels[(i - t) % len(labels)] for i in range(len(labels) + t)]
+    else:
+        prefix = [labels[0]]
+        for _ in range(t):
+            prefix.append(1 if prefix[-1] != 1 else 2)
+        seq = prefix[:0:-1] + labels
+    return tuple(alg.rule(tuple(seq[i : i + t + 1])) for i in range(len(labels)))
+
+
+def _counting(stage, calls):
+    def rule(window):
+        calls[stage.name] = calls.get(stage.name, 0) + 1
+        return stage.rule(window)
+
+    return dataclasses.replace(stage, rule=rule)
+
+
+@pytest.mark.parametrize("topology", [CYCLE, PATH])
+@pytest.mark.parametrize(
+    "stages",
+    [ns_schedule(17).stages, (shift_reduce(5),), (cv_algorithm(4),)],
+    ids=["ns_schedule(17)", "shift_reduce(5)", "cv_algorithm(4)"],
+)
+def test_table_and_closure_paths_agree(stages, topology):
+    windows = [count_proper_sequences(s.in_palette.size, s.window_length) for s in stages]
+    n = stages[0].in_palette.size
+    # shorter than every stage's window count (closure path), longer than
+    # every one (table path), and in between where the stages differ
+    for length in (12, max(windows) // 2, 3 * max(windows)):
+        for seed in range(3):
+            instance = random_proper_instance(n, length, seed=seed, topology=topology)
+            calls: dict[str, int] = {}
+            out = run_algorithm(compose([_counting(s, calls) for s in stages]), instance)
+            assert out.labels == _reference_run(compose(stages), instance)
+            assert out.topology == topology
+            for i, stage in enumerate(stages):
+                if windows[i] <= length:  # once per distinct window
+                    assert calls[stage.name] <= windows[i]
+                else:  # once per window position, later stages' rounds included
+                    later = sum(s.rounds for s in stages[i + 1 :])
+                    assert calls[stage.name] == length + later

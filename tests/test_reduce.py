@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -16,9 +17,12 @@ from pathchroma.model import (
     sampled_properness_check,
     tower,
 )
+import pathchroma.reduce as reduce_module
 from pathchroma.reduce import (
     Pipeline,
     SubsetCode,
+    _colex_masks,
+    _colex_unrank_mask,
     colex_rank,
     colex_unrank,
     compose,
@@ -75,6 +79,30 @@ def test_colex_errors():
         colex_rank([1, 1], 4)
     with pytest.raises(ValueError):
         colex_rank([5], 4)
+
+
+def _mask(members):
+    return sum(1 << (x - 1) for x in members)
+
+
+def test_gosper_masks_follow_colex_rank_order():
+    for k in range(1, 6):
+        for m in range(k, 12):
+            count = comb(m, k)
+            expected = [_mask(colex_unrank(rank, k, m)) for rank in range(1, count + 1)]
+            assert _colex_masks(k, count) == expected
+    masks = _colex_masks(10, comb(20, 10))
+    for rank in random.Random(20).sample(range(1, comb(20, 10) + 1), 2000):
+        assert masks[rank - 1] == _mask(colex_unrank(rank, 10, 20))
+        assert masks[rank - 1] == _colex_unrank_mask(rank, 10, 20)
+
+
+def test_ns_rule_same_with_and_without_mask_list(monkeypatch):
+    listed = ns_algorithm(20, 3)
+    monkeypatch.setattr(reduce_module, "_MASK_LIST_LIMIT", 19)
+    unranked = ns_algorithm(20, 3)
+    for window in itertools.permutations(range(1, 21), 2):
+        assert listed.rule(window) == unranked.rule(window)
 
 
 def test_subset_code():

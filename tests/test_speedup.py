@@ -1,3 +1,5 @@
+import functools
+
 import pytest
 
 from pathchroma.errors import BudgetExceeded
@@ -199,3 +201,134 @@ def test_random_tables_feed_the_speed_up(n, t, c, seed):
     assert exhaustive_properness_check(faster)
     realized = {faster.rule(w) for w in proper_sequences(n, t)}
     assert len(realized) <= 2**c - 2
+
+
+# --- table-built tower against the definition --------------------------------
+#
+# The oracle builds each level's rule as the definition states it (the set of
+# colours the level below gives the successor, over every extension) and reads
+# every relation off a full enumeration of sequences, one evaluation per window
+# of each sequence.  Rules are memoised per window only to keep it quick.
+
+
+def _oracle_levels(alg, k):
+    n = alg.in_palette.size
+    rule = functools.lru_cache(maxsize=None)(alg.rule)
+    wl, c, semantic = alg.window_length, alg.out_palette.size, None
+    levels = []
+    for _ in range(k + 1):
+        realized = {rule(w) for w in proper_sequences(n, wl)}
+        if semantic is None:
+            semantic = {r: r for r in realized}
+        else:
+            below = levels[-1][2]
+            semantic = {r: F(below[x] for x in decode_family(r, c)) for r in realized}
+            c = (1 << c) - 2
+        levels.append((rule, wl, semantic, realized))
+
+        def family(window, below=rule):
+            colours = {below(window + (y,)) for y in range(1, n + 1) if y != window[-1]}
+            return sum(1 << (x - 1) for x in colours)
+
+        rule = functools.lru_cache(maxsize=None)(family)
+        wl -= 1
+    return levels
+
+
+def _oracle_successors(n, level):
+    rule, wl, semantic, _ = level
+    return {
+        (semantic[rule(s[:wl])], semantic[rule(s[1:])]) for s in proper_sequences(n, wl + 1)
+    }
+
+
+def _oracle_outputs(n, level, faster):
+    rule, wl, semantic, _ = level
+    fast_rule, _, fast_semantic, _ = faster
+    return {(semantic[rule(w)], fast_semantic[fast_rule(w[1:])]) for w in proper_sequences(n, wl)}
+
+
+def _assert_tower_matches_oracle(alg, k):
+    n = alg.in_palette.size
+    tower = iterate_speed_up(alg, k)
+    oracle = _oracle_levels(alg, k)
+    assert len(tower.levels) == k + 1
+    for i, level in enumerate(oracle):
+        _, wl, semantic, realized = level
+        assert tower.algorithm(i).window_length == wl
+        assert tower.levels[i].realized == realized
+        assert tower.colours(i) == {semantic[r] for r in realized}
+        assert tower.successor_relation(i).pairs == _oracle_successors(n, level)
+        if i < k:
+            assert tower.output_relation(i).pairs == _oracle_outputs(n, level, oracle[i + 1])
+    # the standalone relation agrees with the tower's level 0
+    assert successor_relation(alg).pairs == _oracle_successors(n, oracle[0])
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
+def test_tower_tables_match_oracle_on_schedules(n):
+    _assert_tower_matches_oracle(compose(ns_schedule(n)), 2)
+
+
+def test_tower_tables_match_oracle_at_empty_stem():
+    # level 2 of the 2-round reducer has one-colour windows: the stem is empty
+    alg = four_to_three()
+    _assert_tower_matches_oracle(alg, 2)
+    assert iterate_speed_up(alg, 2).algorithm(2).window_length == 1
+
+
+@pytest.mark.parametrize(
+    "n,t,c,seed",
+    [(4, 2, 3, 0), (3, 2, 3, 1), (6, 2, 4, 3), (4, 3, 3, 2), (3, 3, 3, 5), (5, 3, 4, 7)],
+)
+def test_tower_tables_match_oracle_on_random_tables(n, t, c, seed):
+    _assert_tower_matches_oracle(random_proper_table(n, t, c, seed=seed), t)
+
+
+def test_tower_levels_are_tables_over_valid_windows():
+    tower = iterate_speed_up(compose(ns_schedule(7)), 2)
+    for level in tower.levels[1:]:
+        windows = list(proper_sequences(7, level.algorithm.window_length))
+        assert list(level.table) == windows
+        assert all(level.algorithm.rule(w) == level.table[w] for w in windows)
+        assert level.algorithm.name.startswith("speedup(")
+
+
+def test_iterate_budget_thresholds_unchanged():
+    # one evaluation per window of every level: 7*6^4 + 7*6^3 + 7*6^2
+    alg = compose(ns_schedule(7))
+    sums = [9072, 9072 + 1512, 9072 + 1512 + 252]
+    for k, threshold in enumerate(sums):
+        assert len(iterate_speed_up(alg, k, budget=threshold).levels) == k + 1
+        with pytest.raises(BudgetExceeded, match=f"{threshold} window evaluations"):
+            iterate_speed_up(alg, k, budget=threshold - 1)
+    # the tower's relations keep counting sequences one longer than a window
+    tower = iterate_speed_up(alg, 2, budget=sums[2])
+    assert tower.successor_relation(2).pairs
+    with pytest.raises(BudgetExceeded, match="54432 sequences"):
+        tower.successor_relation(0)  # 7*6^5 > budget
+    assert tower.output_relation(1).pairs  # 7*6^3 windows
+
+
+def test_standalone_relation_budget_thresholds_unchanged():
+    alg = four_to_three()  # sequences of 4 colours: 4*3^3 = 108
+    assert successor_relation(alg, budget=108).pairs
+    with pytest.raises(BudgetExceeded, match="108 sequences exceed budget 107"):
+        successor_relation(alg, budget=107)
+    faster = speed_up(alg).algorithm
+    assert output_relation(alg, faster, budget=36).pairs  # 4*3^2 windows
+    with pytest.raises(BudgetExceeded, match="36 sequences exceed budget 35"):
+        output_relation(alg, faster, budget=35)
+
+
+def test_iterate_flags_improper_source_like_speed_up():
+    bad = ReductionAlgorithm(
+        ONE_SIDED, 1, Palette(4), Palette(3), lambda w: (w[1] % 3) + 1, name="bad"
+    )
+    message = r"window \(1,\) realises every colour"
+    with pytest.raises(ValueError, match=message):
+        speed_up(bad).algorithm.rule((1,))
+    with pytest.raises(ValueError, match=message):
+        iterate_speed_up(bad, 1)
+    with pytest.raises(ValueError, match="one-sided"):
+        iterate_speed_up(two_sided_from_one_sided(four_to_three()), 1)

@@ -3,7 +3,8 @@
 Exit codes: 0 success / claim verified, 1 claim refuted, 2 usage error,
 3 enumeration or search budget exceeded.  The PATHCHROMA_BUDGET environment
 variable overrides the default enumeration budget; a --budget flag
-overrides both.
+overrides both.  In ``colour`` and ``repro-paper`` the same budget also caps
+the nodes of each complete colouring search.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .model import (
     ReductionAlgorithm,
     TowerValue,
     bounds_report,
+    exhaustive_properness_check,
     format_instance,
     identity_algorithm,
     is_proper,
@@ -252,8 +254,6 @@ def _claim_lemma6(budget: int):
     tower_levels = _seven_colour_tower(budget)
     partition = explicit_sixteen_classes()
     fast = tower_levels.compose_colouring(partition.as_colouring(), 2)
-    from .model import exhaustive_properness_check
-
     proper = exhaustive_properness_check(fast, budget=budget)
     star = worst_case_successor_graph()
     embeds = successor_graph_of(compose(ns_schedule(7)), 2, budget=budget).is_subgraph_of(star)
@@ -347,7 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--chromatic", action="store_true", help="compute the chromatic number")
     p.add_argument("--cnf", default=None, help="also write the CNF encoding here")
-    p.add_argument("--budget", type=int, default=None, help="search node limit")
+    p.add_argument("--budget", type=int, default=None,
+                   help="search node limit (default PATHCHROMA_BUDGET or 10^8)")
     p.set_defaults(func=cmd_colour)
 
     p = sub.add_parser("bounds", help="round-complexity bounds for 3-colouring")
@@ -356,7 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("repro-paper", help="re-run every computational claim")
     p.add_argument("--only", default=None, help="run a single named claim")
-    p.add_argument("--budget", type=int, default=None)
+    p.add_argument("--budget", type=int, default=None,
+                   help="window budget, also each colouring search's node limit")
     p.set_defaults(func=cmd_repro_paper)
 
     return parser

@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Hashable, Iterable
 
-from .model import ReductionAlgorithm, canonical_label
+from .model import ReductionAlgorithm, canonical_label, window_graph
 from .speedup import Colour, iterate_speed_up
 
 F = frozenset
@@ -99,32 +99,11 @@ def neighbourhood_graph(n: int, t: int = 1, *, all_distinct: bool = True) -> UGr
     pairwise-distinct colours; otherwise only adjacent entries must differ,
     which still supports subgraph-based lower bounds.
     """
-    length = 2 * t + 1
     if all_distinct and n <= 2 * t:
         raise ValueError(f"need n > 2t = {2 * t} for pairwise-distinct windows")
     if n < 2:
         raise ValueError("need at least 2 colours")
-    if all_distinct:
-        vertices = [
-            t_ for t_ in itertools.permutations(range(1, n + 1), length)
-        ]
-    else:
-        vertices = [
-            seq
-            for seq in itertools.product(range(1, n + 1), repeat=length)
-            if all(a != b for a, b in zip(seq, seq[1:]))
-        ]
-    index = {v: i for i, v in enumerate(vertices)}
-    edges = set()
-    for v in vertices:
-        i = index[v]
-        stem = v[1:]
-        for y in range(1, n + 1):
-            w = stem + (y,)
-            j = index.get(w)
-            if j is not None and j != i:
-                edges.add((min(i, j), max(i, j)))
-    return UGraph(tuple(vertices), frozenset(edges))
+    return UGraph(*window_graph(n, 2 * t + 1, all_distinct=all_distinct))
 
 
 _BASE = (F({1}), F({2}), F({3}), F({1, 2}), F({1, 3}), F({2, 3}))
@@ -279,6 +258,8 @@ def from_dimacs(text: str) -> UGraph:
                 raise ValueError(f"bad problem line: {line!r}")
             n = int(parts[2])
         elif parts[0] == "e":
+            if len(parts) < 3:
+                raise ValueError(f"bad edge line: {line!r}")
             u, v = int(parts[1]) - 1, int(parts[2]) - 1
             if u == v:
                 raise ValueError("loops are not allowed")

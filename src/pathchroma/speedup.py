@@ -23,9 +23,11 @@ from .model import (
     Palette,
     ReductionAlgorithm,
     ColourWindow,
+    _WindowTable,
     canonical_label,
     count_proper_sequences,
     proper_sequences,
+    window_graph,
 )
 
 Colour = Hashable  # int at level 0, frozenset of previous-level colours above
@@ -116,24 +118,21 @@ def speed_up(alg: ReductionAlgorithm) -> SpeedUpResult:
     The new rule enumerates every colour the source rule could give the
     node's successor and returns the colex rank of that set.  Also returns
     the decoder from ranks back to member sets.  The rule evaluates the
-    source on demand and caches its answer per window.
+    source on demand and keeps its answer in a window table.
     """
     c = _speedable_palette(alg)
     n = alg.in_palette.size
     rule = alg.rule
-    cache: dict[ColourWindow, int] = {}
 
-    def fast_rule(window: ColourWindow) -> int:
-        bits = cache.get(window)
-        if bits is None:
-            last = window[-1]
-            bits = 0
-            for y in range(1, n + 1):
-                if y != last:
-                    bits |= 1 << (rule(window + (y,)) - 1)
-            bits = cache[window] = _family_bits(window, bits, c)
-        return bits
+    def family(window: ColourWindow) -> int:
+        last = window[-1]
+        bits = 0
+        for y in range(1, n + 1):
+            if y != last:
+                bits |= 1 << (rule(window + (y,)) - 1)
+        return _family_bits(window, bits, c)
 
+    fast_rule = _WindowTable(family).__getitem__
     return SpeedUpResult(_faster(alg, fast_rule), lambda rank: decode_family(rank, c))
 
 
@@ -199,12 +198,8 @@ class ColourRelation:
         return "\n".join(lines) + "\n"
 
 
-def _as_lookup(semantic) -> Callable[[int], Colour]:
-    if semantic is None:
-        return lambda x: x
-    if isinstance(semantic, Mapping):
-        return semantic.__getitem__
-    return semantic
+def _as_lookup(semantic: Mapping[int, Colour] | None) -> Callable[[int], Colour]:
+    return (lambda x: x) if semantic is None else semantic.__getitem__
 
 
 def _check_sequences(alg: ReductionAlgorithm, length: int, budget: int | None) -> None:
@@ -237,16 +232,14 @@ def _successor_relation(table: Mapping[ColourWindow, int], wl: int, semantic) ->
     return ColourRelation("successor", frozenset((sem(a), sem(b)) for a, b in raw))
 
 
-def successor_relation(
-    alg: ReductionAlgorithm, *, semantic=None, budget: int | None = None
-) -> ColourRelation:
+def successor_relation(alg: ReductionAlgorithm, *, budget: int | None = None) -> ColourRelation:
     """All (own output, successor output) pairs over adjacent-distinct inputs.
 
     The budget counts the sequences one entry longer than the window, but
     the rule is evaluated only once per window.
     """
     _check_sequences(alg, alg.window_length + 1, budget)
-    return _successor_relation(_rule_table(alg), alg.window_length, semantic)
+    return _successor_relation(_rule_table(alg), alg.window_length, None)
 
 
 def _output_relation(
@@ -259,12 +252,7 @@ def _output_relation(
 
 
 def output_relation(
-    alg: ReductionAlgorithm,
-    faster: ReductionAlgorithm,
-    *,
-    semantic=None,
-    semantic_faster=None,
-    budget: int | None = None,
+    alg: ReductionAlgorithm, faster: ReductionAlgorithm, *, budget: int | None = None
 ) -> ColourRelation:
     """All (own colour under ``alg``, own colour under ``faster``) pairs.
 
@@ -275,7 +263,7 @@ def output_relation(
     if faster.rounds != alg.rounds - 1:
         raise ValueError("expected the one-round speed-up of the source algorithm")
     _check_sequences(alg, alg.window_length, budget)
-    return _output_relation(_rule_table(alg), faster.rule, semantic, semantic_faster)
+    return _output_relation(_rule_table(alg), faster.rule, None, None)
 
 
 def lemma7_pairs(output_rel: ColourRelation) -> frozenset[tuple[Colour, Colour]]:
@@ -307,29 +295,32 @@ class SpeedUpTower:
     levels: tuple[SpeedUpLevel, ...]
     budget: int
 
+    def _level(self, k: int) -> SpeedUpLevel:
+        if not 0 <= k < len(self.levels):
+            raise ValueError(f"tower has no level {k}")
+        return self.levels[k]
+
     def algorithm(self, k: int) -> ReductionAlgorithm:
-        return self.levels[k].algorithm
+        return self._level(k).algorithm
 
     def colours(self, k: int) -> frozenset[Colour]:
-        return self.levels[k].colours()
+        return self._level(k).colours()
 
     def successor_relation(self, k: int) -> ColourRelation:
-        level = self.levels[k]
+        level = self._level(k)
         wl = level.algorithm.window_length
         _check_sequences(level.algorithm, wl + 1, self.budget)
         return _successor_relation(level.table, wl, level.semantic)
 
     def output_relation(self, k: int) -> ColourRelation:
-        if k + 1 >= len(self.levels):
-            raise ValueError(f"tower has no level {k + 1}")
-        level, faster = self.levels[k], self.levels[k + 1]
+        level, faster = self._level(k), self._level(k + 1)
         _check_sequences(level.algorithm, level.algorithm.window_length, self.budget)
         return _output_relation(
             level.table, faster.table.__getitem__, level.semantic, faster.semantic
         )
 
     def compose_colouring(self, colouring: Mapping, k: int) -> ReductionAlgorithm:
-        level = self.levels[k]
+        level = self._level(k)
         return compose_colouring(colouring, level.algorithm, semantic=level.semantic)
 
 
@@ -376,30 +367,25 @@ def iterate_speed_up(
 
 
 def compose_colouring(
-    colouring: Mapping | Callable[[Colour], int],
+    colouring: Mapping[Colour, int],
     alg: ReductionAlgorithm,
     *,
-    semantic=None,
-    colours: int | None = None,
+    semantic: Mapping[int, Colour] | None = None,
 ) -> ReductionAlgorithm:
     """Relabel an algorithm's outputs through a graph colouring of its colour space.
 
-    When the colouring is proper on the algorithm's successor graph, the
-    composite is again a proper reduction, now onto the colouring's palette.
-    Raises if a realized colour has no entry.
+    ``semantic`` decodes the rule's outputs into the colouring's keys.  When
+    the colouring is proper on the algorithm's successor graph, the composite
+    is again a proper reduction, now onto the colouring's palette.  Raises if
+    a realized colour has no entry.
     """
-    if colours is None:
-        if not isinstance(colouring, Mapping):
-            raise ValueError("pass colours= when the colouring is not a mapping")
-        colours = max(colouring.values())
     sem = _as_lookup(semantic)
-    lookup = colouring.__getitem__ if isinstance(colouring, Mapping) else colouring
     rule = alg.rule
 
     def composed(window: ColourWindow) -> int:
         value = sem(rule(window))
         try:
-            return lookup(value)
+            return colouring[value]
         except KeyError:
             raise ValueError(
                 f"colouring has no class for realized colour {canonical_label(value)}"
@@ -409,7 +395,7 @@ def compose_colouring(
         ONE_SIDED,
         alg.rounds,
         alg.in_palette,
-        Palette(colours),
+        Palette(max(colouring.values())),
         composed,
         name=f"recolour({alg.name})",
     )
@@ -420,6 +406,10 @@ def search_one_round_map(n: int, c: int, *, budget: int | None = None) -> tuple[
 
     Returns (a proper one-round rule exists, candidates examined).  The scan
     stops at the first proper candidate; refutations examine all c^(n(n-1)).
+    This is lemma 4's brute force taken literally, so it keeps its own
+    conflict list rather than the shared window graph: it is the
+    independent engine that colouring searches on that graph are
+    cross-checked against.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
@@ -468,17 +458,11 @@ def random_proper_table(
     fixed seed.  Raises RuntimeError when every restart exhausts its
     allowance, e.g. for parameters where no proper table exists.
     """
-    windows = list(proper_sequences(n, t + 1))
-    index = {w: i for i, w in enumerate(windows)}
-    neighbours: list[set[int]] = [set() for _ in windows]
-    for i, w in enumerate(windows):
-        stem = w[1:]
-        for y in range(1, n + 1):
-            if y != w[-1]:
-                j = index[stem + (y,)]
-                if j != i:
-                    neighbours[i].add(j)
-                    neighbours[j].add(i)
+    windows, edges = window_graph(n, t + 1)
+    neighbours: list[list[int]] = [[] for _ in windows]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
     adjacency = [tuple(sorted(s)) for s in neighbours]
     degree = [len(a) for a in adjacency]
 

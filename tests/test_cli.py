@@ -171,3 +171,41 @@ def test_budget_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("PATHCHROMA_BUDGET", "10")
     code, _, err = run(capsys, "repro-paper", "--only", "lemma4")
     assert code == 3
+
+
+@pytest.mark.parametrize(
+    "flag,level", [("--successors", "5"), ("--successors", "-1"), ("--outputs", "-1")]
+)
+def test_speedup_rejects_missing_level(capsys, flag, level):
+    code, _, err = run(capsys, "speedup", "--alg", "4to3", "--k", "1", flag, level)
+    assert code == 2
+    assert "error:" in err
+
+
+def test_colour_rejects_short_edge_line(tmp_path, capsys):
+    colfile = tmp_path / "short.col"
+    colfile.write_text("p edge 3 1\ne 1\n")
+    code, _, err = run(capsys, "colour", "--input", str(colfile), "--k", "3")
+    assert code == 2
+    assert "error:" in err
+
+
+def test_repro_budget_caps_search_nodes(capsys):
+    code, _, err = run(capsys, "repro-paper", "--only", "lemma5", "--budget", "5770")
+    assert code == 3
+    assert "budget exceeded" in err
+    code, out, _ = run(capsys, "repro-paper", "--only", "lemma5", "--budget", "5771")
+    assert code == 0
+    assert out.startswith("PASS lemma5") and "5771 nodes" in out
+
+
+def test_colour_budget_caps_search_nodes(tmp_path, capsys):
+    colfile = tmp_path / "n71.col"
+    code, _, _ = run(capsys, "graph", "--kind", "neighbourhood", "--n", "7", "--out", str(colfile))
+    assert code == 0
+    code, _, err = run(capsys, "colour", "--input", str(colfile), "--k", "3", "--budget", "5770")
+    assert code == 3
+    assert "budget exceeded" in err
+    code, out, _ = run(capsys, "colour", "--input", str(colfile), "--k", "3", "--budget", "5771")
+    assert code == 0
+    assert out == "UNSAT nodes=5771\n"

@@ -2,6 +2,7 @@ import itertools
 
 import pytest
 
+from pathchroma.chroma import k_colourable
 from pathchroma.model import canonical_label
 from pathchroma.graphs import (
     ColourClassPartition,
@@ -148,3 +149,43 @@ def test_dimacs_rejects_malformed():
         from_dimacs("p edge 2 1\ne 1 1\n")
     with pytest.raises(ValueError):
         from_dimacs("p edge 2 1\ne 1 5\n")
+
+
+def _reference_neighbourhood_graph(n, t, all_distinct):
+    # Windows straight from itertools, shift edges found by lookup: an
+    # enumeration independent of proper_sequences.
+    length = 2 * t + 1
+    if all_distinct:
+        windows = list(itertools.permutations(range(1, n + 1), length))
+    else:
+        windows = [
+            seq
+            for seq in itertools.product(range(1, n + 1), repeat=length)
+            if all(a != b for a, b in zip(seq, seq[1:]))
+        ]
+    index = {w: i for i, w in enumerate(windows)}
+    edges = set()
+    for i, w in enumerate(windows):
+        for y in range(1, n + 1):
+            j = index.get(w[1:] + (y,))
+            if j is not None and j != i:
+                edges.add((min(i, j), max(i, j)))
+    return tuple(windows), frozenset(edges)
+
+
+@pytest.mark.parametrize("n,t", [(n, 1) for n in range(3, 9)] + [(5, 2), (6, 2)])
+@pytest.mark.parametrize("all_distinct", [True, False])
+def test_neighbourhood_graph_matches_reference_enumeration(n, t, all_distinct):
+    graph = neighbourhood_graph(n, t, all_distinct=all_distinct)
+    labels, edges = _reference_neighbourhood_graph(n, t, all_distinct)
+    assert graph.labels == labels  # same window order, so same search order
+    assert graph.edges == edges
+
+
+@pytest.mark.parametrize(
+    "n,all_distinct,nodes", [(7, True, 5771), (5, False, 441), (6, False, 867), (7, False, 1668)]
+)
+def test_window_graph_refutation_node_counts(n, all_distinct, nodes):
+    certificate = k_colourable(neighbourhood_graph(n, 1, all_distinct=all_distinct), 3)
+    assert not certificate.satisfiable
+    assert certificate.nodes == nodes

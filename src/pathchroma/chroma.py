@@ -1,19 +1,36 @@
 """Exact k-colourability and chromatic numbers, with DIMACS CNF export.
 
-The decision procedure is a complete backtracking search under the
-saturation-first vertex order, with a greedy clique precoloured for
-symmetry breaking.  UNSAT answers certify graph-colouring lemmas, so the
-search never prunes unsoundly: colour symmetry is broken only by clique
-precolouring (sound up to colour permutation) and by capping fresh colours
-at one above the number used so far.
+Every colouring search in the package runs one saturation-first (DSATUR,
+Brélaz 1979) backtracking kernel, ``_dsatur``.  It extends the uncoloured
+vertex seeing the most distinct neighbour colours, then the highest degree,
+and undoes its last choice when a vertex has no colour left.
+
+Without an RNG it is the complete search of :func:`k_colourable`: ties go
+to the least index and colours are tried in ascending order, up to one
+above the largest in use.  UNSAT answers certify graph-colouring lemmas, so
+colour symmetry is broken only soundly, by that fresh-colour cap and a
+precoloured greedy clique.  With k equal to the vertex count its first
+descent never backtracks, and it is :func:`greedy_colouring`.
+
+With an RNG it is the restart body of ``speedup.random_proper_table``: ties
+and a shuffled order of all free colours are drawn from the RNG, under a
+backtrack cap.  The fresh-colour cap is left out: a sampler needs no
+symmetry breaking, and the cap would change the random stream that sampled
+tables come from.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import BudgetExceeded
-from .graphs import UGraph
+
+if TYPE_CHECKING:
+    import random
+
+    from .graphs import UGraph
 
 DEFAULT_NODE_LIMIT = 20_000_000
 
@@ -47,26 +64,99 @@ def _greedy_clique(adj: list[set[int]], degrees: list[int]) -> list[int]:
     return clique
 
 
-def greedy_colouring(graph: UGraph) -> tuple[dict, int]:
-    """Saturation-first greedy colouring; returns (assignment, colours used)."""
-    adj = [set(a) for a in graph.adjacency()]
-    n = graph.vertex_count
-    degrees = [len(a) for a in adj]
+def _dsatur(
+    adj: list[Sequence[int]],
+    degrees: list[int],
+    k: int,
+    precolouring: dict[int, int] | None = None,
+    *,
+    rng: random.Random | None = None,
+    node_limit: float = math.inf,
+    max_backtracks: float = math.inf,
+) -> tuple[list[int] | None, int]:
+    """Search for a proper colouring in [k] (see the module docstring).
+
+    ``precolouring`` fixes the colours of some vertices before the search.
+    Returns (colour per vertex, search nodes), with None for the colouring
+    once the search is exhausted or has backtracked more than
+    ``max_backtracks`` times.  Raises :class:`BudgetExceeded` past
+    ``node_limit`` nodes.
+    """
+    n = len(adj)
     colour = [0] * n
     forbidden = [0] * n
-    remaining = set(range(n))
-    used = 0
-    while remaining:
-        v = max(remaining, key=lambda u: (forbidden[u].bit_count(), degrees[u], -u))
-        remaining.discard(v)
-        avail = ~forbidden[v]
-        c = (avail & -avail).bit_length()
+    uncoloured = set(range(n))
+    max_used = 0
+    for v, c in (precolouring or {}).items():
         colour[v] = c
-        used = max(used, c)
+        uncoloured.discard(v)
         bit = 1 << (c - 1)
         for u in adj[v]:
             forbidden[u] |= bit
-    return {graph.labels[v]: colour[v] for v in range(n)}, used
+        max_used = max(max_used, c)
+
+    palette = range(1, k + 1)
+    shift = max(degrees, default=0).bit_length()  # key orders by saturation, then degree
+    nodes = 0
+    backtracks = 0
+    frames: list[tuple] = []
+    while uncoloured:
+        best = -1
+        for v in uncoloured:
+            key = forbidden[v].bit_count() << shift | degrees[v]
+            if key > best:
+                best = key
+                candidates = [v]
+            elif key == best:
+                candidates.append(v)
+        if rng is None:
+            v = min(candidates)
+            # a fresh colour beyond max_used + 1 is symmetric to max_used + 1
+            options = ~forbidden[v] & ((1 << min(k, max_used + 1)) - 1)
+        else:
+            v = rng.choice(candidates)
+            options = [c for c in palette if not forbidden[v] >> (c - 1) & 1]
+            rng.shuffle(options)
+
+        while True:
+            if options:
+                nodes += 1
+                if nodes > node_limit:
+                    raise BudgetExceeded(f"node limit {node_limit} hit after {nodes - 1} nodes")
+                if rng is None:
+                    bit = options & -options
+                    options ^= bit
+                    c = bit.bit_length()
+                else:
+                    c = options.pop()
+                    bit = 1 << (c - 1)
+                colour[v] = c
+                uncoloured.discard(v)
+                changed = []
+                for u in adj[v]:
+                    if colour[u] == 0 and not forbidden[u] & bit:
+                        forbidden[u] |= bit
+                        changed.append(u)
+                frames.append((v, options, c, changed, max_used))
+                max_used = max(max_used, c)
+                break
+            backtracks += 1
+            if backtracks > max_backtracks or not frames:
+                return None, nodes
+            v, options, c, changed, max_used = frames.pop()
+            bit = 1 << (c - 1)
+            for u in changed:
+                forbidden[u] ^= bit
+            colour[v] = 0
+            uncoloured.add(v)
+    return colour, nodes
+
+
+def greedy_colouring(graph: UGraph) -> tuple[dict, int]:
+    """Saturation-first greedy colouring; returns (assignment, colours used)."""
+    adj = graph.adjacency()
+    colour, _ = _dsatur(adj, [len(a) for a in adj], graph.vertex_count)
+    return dict(zip(graph.labels, colour)), max(colour, default=0)
 
 
 def is_proper_colouring(graph: UGraph, assignment: dict) -> bool:
@@ -87,78 +177,18 @@ def k_colourable(
     if k < 1:
         raise ValueError("k must be positive")
     node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
-    n = graph.vertex_count
-    if n == 0:
-        return ColouringCertificate(k, True, {}, 0)
-
-    adj_sets = [set(a) for a in graph.adjacency()]
-    degrees = [len(a) for a in adj_sets]
-    adj = [tuple(a) for a in adj_sets]
-    colour = [0] * n
-    forbidden = [0] * n
-    uncoloured = set(range(n))
-    full = (1 << k) - 1
-
-    clique = _greedy_clique(adj_sets, degrees)
+    adj = graph.adjacency()
+    degrees = [len(a) for a in adj]
     # Precolouring a clique is sound up to permuting colours; if the clique
     # is larger than k the leftover members simply have empty domains.
-    base = 0
-    for i, v in enumerate(clique[:k], start=1):
-        colour[v] = i
-        uncoloured.discard(v)
-        bit = 1 << (i - 1)
-        for u in adj[v]:
-            if colour[u] == 0:
-                forbidden[u] |= bit
-        base = i
-
-    nodes = 0
-    frames: list[tuple[int, int, int, list[int], int]] = []
-    max_used = base
-
-    while uncoloured:
-        best_v = -1
-        best_key = (-1, -1, 0)
-        for v in uncoloured:
-            key = (forbidden[v].bit_count(), degrees[v], -v)
-            if key > best_key:
-                best_key = key
-                best_v = v
-        v = best_v
-        cap = min(k, max_used + 1)  # a fresh colour beyond max_used+1 is symmetric
-        avail = ~forbidden[v] & ((1 << cap) - 1)
-
-        while True:
-            if avail:
-                nodes += 1
-                if nodes > node_limit:
-                    raise BudgetExceeded(f"node limit {node_limit} hit after {nodes - 1} nodes")
-                bit = avail & -avail
-                avail ^= bit
-                c = bit.bit_length()
-                colour[v] = c
-                uncoloured.discard(v)
-                changed = []
-                for u in adj[v]:
-                    if colour[u] == 0 and not forbidden[u] & bit:
-                        forbidden[u] |= bit
-                        changed.append(u)
-                frames.append((v, avail, c, changed, max_used))
-                max_used = max(max_used, c)
-                break
-            if not frames:
-                return ColouringCertificate(k, False, None, nodes)
-            v, avail, c, changed, max_used = frames.pop()
-            bit = 1 << (c - 1)
-            for u in changed:
-                forbidden[u] ^= bit
-            colour[v] = 0
-            uncoloured.add(v)
-
-    assignment = {graph.labels[v]: colour[v] for v in range(n)}
+    clique = _greedy_clique([set(a) for a in adj], degrees)
+    precolouring = {v: i for i, v in enumerate(clique[:k], start=1)}
+    colour, nodes = _dsatur(adj, degrees, k, precolouring, node_limit=node_limit)
+    if colour is None:
+        return ColouringCertificate(k, False, None, nodes)
+    assignment = dict(zip(graph.labels, colour))
     assert is_proper_colouring(graph, assignment)
-    certificate = ColouringCertificate(k, True, assignment, nodes)
-    return certificate
+    return ColouringCertificate(k, True, assignment, nodes)
 
 
 def chromatic_number(graph: UGraph, *, node_limit: int | None = None) -> int:

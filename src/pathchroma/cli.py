@@ -132,16 +132,20 @@ def cmd_speedup(args) -> int:
     alg = parse_algorithm(args.alg)
     budget = _resolve_budget(args.budget)
     tower_levels = iterate_speed_up(alg, args.k, budget=budget)
+    # Relations first: a level outside the tower must fail before any output.
+    relations = []
+    if args.successors is not None:
+        relations.append(tower_levels.successor_relation(args.successors))
+    if args.outputs is not None:
+        relations.append(tower_levels.output_relation(args.outputs))
     for level, record in enumerate(tower_levels.levels):
         a = record.algorithm
         print(
             f"level={level} rounds={a.rounds} palette={a.out_palette} "
             f"realized={len(record.realized)}"
         )
-    if args.successors is not None:
-        sys.stdout.write(tower_levels.successor_relation(args.successors).to_text())
-    if args.outputs is not None:
-        sys.stdout.write(tower_levels.output_relation(args.outputs).to_text())
+    for relation in relations:
+        sys.stdout.write(relation.to_text())
     return 0
 
 

@@ -16,6 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
+from .chroma import _dsatur
 from .errors import BudgetExceeded
 from .model import (
     DEFAULT_BUDGET,
@@ -484,51 +485,6 @@ def random_proper_table(
     )
 
 
+# Wrapped by perfbench/run.py::count_sampler_attempts; one call per restart, colouring or None.
 def _random_dsatur(adjacency, degree, c, rng, *, max_backtracks):
-    # Backtracking colour search that always extends the vertex seeing the
-    # most distinct neighbour colours (random tie-break, random colour
-    # order): the fail-first ordering keeps dead ends shallow.
-    size = len(adjacency)
-    colour = [0] * size
-    forbidden = [0] * size
-    uncoloured = set(range(size))
-    frames: list[tuple[int, list[int], int, list[int]]] = []
-    backtracks = 0
-    full = (1 << c) - 1
-
-    while uncoloured:
-        best = (-1, -1)
-        candidates: list[int] = []
-        for v in uncoloured:
-            key = (forbidden[v].bit_count(), degree[v])
-            if key > best:
-                best = key
-                candidates = [v]
-            elif key == best:
-                candidates.append(v)
-        v = rng.choice(candidates)
-        options = [col for col in range(1, c + 1) if not forbidden[v] >> (col - 1) & 1]
-        rng.shuffle(options)
-        while True:
-            if options:
-                col = options.pop()
-                bit = 1 << (col - 1)
-                colour[v] = col
-                uncoloured.discard(v)
-                changed = []
-                for u in adjacency[v]:
-                    if colour[u] == 0 and not forbidden[u] & bit:
-                        forbidden[u] |= bit
-                        changed.append(u)
-                frames.append((v, options, col, changed))
-                break
-            backtracks += 1
-            if backtracks > max_backtracks or not frames:
-                return None
-            v, options, col, changed = frames.pop()
-            bit = 1 << (col - 1)
-            for u in changed:
-                forbidden[u] ^= bit
-            colour[v] = 0
-            uncoloured.add(v)
-    return colour
+    return _dsatur(adjacency, degree, c, rng=rng, max_backtracks=max_backtracks)[0]

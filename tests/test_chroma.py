@@ -102,6 +102,7 @@ def test_worst_case_graph_sixteen_colourable():
     assert cert.satisfiable
     assert is_proper_colouring(star, cert.assignment)
     assert len(set(cert.assignment.values())) <= 16
+    assert cert.nodes == 39
 
 
 def test_node_limit_is_distinct_from_unsat():

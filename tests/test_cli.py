@@ -177,9 +177,10 @@ def test_budget_env_variable(capsys, monkeypatch):
     "flag,level", [("--successors", "5"), ("--successors", "-1"), ("--outputs", "-1")]
 )
 def test_speedup_rejects_missing_level(capsys, flag, level):
-    code, _, err = run(capsys, "speedup", "--alg", "4to3", "--k", "1", flag, level)
+    code, out, err = run(capsys, "speedup", "--alg", "4to3", "--k", "1", flag, level)
     assert code == 2
     assert "error:" in err
+    assert out == ""
 
 
 def test_colour_rejects_short_edge_line(tmp_path, capsys):

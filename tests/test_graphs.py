@@ -183,7 +183,12 @@ def test_neighbourhood_graph_matches_reference_enumeration(n, t, all_distinct):
 
 
 @pytest.mark.parametrize(
-    "n,all_distinct,nodes", [(7, True, 5771), (5, False, 441), (6, False, 867), (7, False, 1668)]
+    "n,all_distinct,nodes",
+    [
+        (7, True, 5771), (8, True, 9894), (9, True, 17554),
+        (5, False, 441), (6, False, 867), (7, False, 1668),
+        (8, False, 3294), (9, False, 6785), (10, False, 14525),
+    ],
 )
 def test_window_graph_refutation_node_counts(n, all_distinct, nodes):
     certificate = k_colourable(neighbourhood_graph(n, 1, all_distinct=all_distinct), 3)

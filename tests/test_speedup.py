@@ -3,7 +3,9 @@ import hashlib
 
 import pytest
 
+from pathchroma.chroma import k_colourable
 from pathchroma.errors import BudgetExceeded
+from pathchroma.graphs import UGraph
 from pathchroma.model import (
     ONE_SIDED,
     Palette,
@@ -11,6 +13,7 @@ from pathchroma.model import (
     exhaustive_properness_check,
     proper_sequences,
     two_sided_from_one_sided,
+    window_graph,
 )
 from pathchroma.reduce import compose, four_to_three, ns_algorithm, ns_schedule
 from pathchroma.speedup import (
@@ -186,12 +189,30 @@ def test_one_round_budget():
         exhaustive_one_round_lower_bound(4, 3, budget=1000)
 
 
+@pytest.mark.parametrize("n,c", [(3, 2), (3, 3), (4, 2), (4, 3)])
+def test_one_round_brute_force_agrees_with_colouring_search(n, c):
+    # Two engines for lemma 4: the literal scan over maps, and the colouring
+    # search on the graph of adjacent-distinct 2-windows with shift edges.
+    exists, _ = search_one_round_map(n, c)
+    windows, edges = window_graph(n, 2)
+    assert k_colourable(UGraph(windows, edges), c).satisfiable == exists
+    assert exists == ((n, c) == (3, 3))
+
+
 def test_random_proper_table_is_proper_and_deterministic():
     alg = random_proper_table(5, 2, 4, seed=11)
     assert exhaustive_properness_check(alg)
     again = random_proper_table(5, 2, 4, seed=11)
     for window in proper_sequences(5, 3):
         assert alg.rule(window) == again.rule(window)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_random_proper_table_gives_up_when_no_table_exists(seed):
+    # Lemma 4: no one-round rule 3-colours from 4 colours, so every restart
+    # runs out of backtracks or exhausts the search.
+    with pytest.raises(RuntimeError, match="no proper table"):
+        random_proper_table(4, 1, 3, seed, restarts=5)
 
 
 @pytest.mark.parametrize("n,t,c,seed", [(4, 2, 3, 0), (6, 1, 4, 1), (4, 3, 3, 2), (6, 2, 4, 3)])

@@ -38,6 +38,7 @@ from .speedup import (
     search_one_round_map,
 )
 from .graphs import (
+    _successor_graph,
     explicit_sixteen_classes,
     from_dimacs,
     neighbourhood_graph,
@@ -260,7 +261,7 @@ def _claim_lemma6(budget: int):
     fast = tower_levels.compose_colouring(partition.as_colouring(), 2)
     proper = exhaustive_properness_check(fast, budget=budget)
     star = worst_case_successor_graph()
-    embeds = successor_graph_of(compose(ns_schedule(7)), 2, budget=budget).is_subgraph_of(star)
+    embeds = _successor_graph(tower_levels, 2).is_subgraph_of(star)
     ok = proper and fast.rounds == 2 and fast.out_palette.size == 16 and embeds
     return ok, "2-round 16-colouring verified on all 7-colour windows; S2 embeds in the worst case"
 

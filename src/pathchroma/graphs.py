@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Hashable, Iterable
 
 from .model import ReductionAlgorithm, canonical_label, window_graph
-from .speedup import Colour, iterate_speed_up
+from .speedup import SpeedUpTower, iterate_speed_up
 
 F = frozenset
 
@@ -75,11 +75,6 @@ class UGraph:
             deg[i] += 1
             deg[j] += 1
         return deg
-
-    def has_edge(self, a: Hashable, b: Hashable) -> bool:
-        index = {lab: i for i, lab in enumerate(self.labels)}
-        i, j = index[a], index[b]
-        return (min(i, j), max(i, j)) in self.edges
 
     def label_edges(self) -> frozenset[frozenset]:
         return frozenset(F({self.labels[i], self.labels[j]}) for i, j in self.edges)
@@ -152,7 +147,11 @@ def successor_graph_of(
 ) -> UGraph:
     """Successor graph of the k-th speed-up iterate: realized colours as
     vertices, symmetrised empirical successor pairs as edges."""
-    tower = iterate_speed_up(alg, k, budget=budget)
+    return _successor_graph(iterate_speed_up(alg, k, budget=budget), k)
+
+
+def _successor_graph(tower: SpeedUpTower, k: int) -> UGraph:
+    """The successor graph of level k of a tower already built."""
     relation = tower.successor_relation(k)
     vertices = sorted(tower.colours(k), key=canonical_label)
     edges = {(a, b) for a, b in relation.pairs if a != b}
@@ -165,18 +164,6 @@ class ColourClassPartition:
     """Named vertex classes intended to partition a graph into independent sets."""
 
     classes: tuple[tuple[str, frozenset], ...]
-
-    def classify(self, vertex: Colour) -> str:
-        for name, members in self.classes:
-            if vertex in members:
-                return name
-        raise KeyError(f"no class contains {canonical_label(vertex)}")
-
-    def class_index(self, vertex: Colour) -> int:
-        for i, (_, members) in enumerate(self.classes, start=1):
-            if vertex in members:
-                return i
-        raise KeyError(f"no class contains {canonical_label(vertex)}")
 
     def as_colouring(self) -> dict:
         return {v: i for i, (_, members) in enumerate(self.classes, start=1) for v in members}

@@ -104,17 +104,15 @@ class TowerValue:
         return f"pt:{self.height}+{self.offset}" if self.offset else f"pt:{self.height}"
 
 
-def tower(height: int, *, exact_limit: int = _EXACT_TOWER_HEIGHT) -> int | TowerValue:
+def tower(height: int) -> int | TowerValue:
     """Tetration with base 2: tower(0) = 1, tower(h+1) = 2**tower(h).
 
-    Returns a plain integer up to ``exact_limit`` and a symbolic
+    Returns a plain integer up to height 5 and a symbolic
     :class:`TowerValue` above it (heights past 5 cannot be materialised).
     """
     if height < 0:
         raise ValueError("tower height must be non-negative")
-    if exact_limit > _EXACT_TOWER_HEIGHT:
-        raise ValueError(f"exact towers are only available up to height {_EXACT_TOWER_HEIGHT}")
-    if height <= exact_limit:
+    if height <= _EXACT_TOWER_HEIGHT:
         return _TOWERS[height]
     return TowerValue(height)
 
@@ -257,19 +255,10 @@ def _virtual_prev(x: int) -> int:
     return 1 if x != 1 else 2
 
 
-def _virtual_prefix(first: int, count: int) -> list[int]:
+def _virtual_run(end: int, count: int) -> list[int]:
+    # prev(end), prev(prev(end)), ...: the tail's extension, and the head's reversed.
     out: list[int] = []
-    x = first
-    for _ in range(count):
-        x = _virtual_prev(x)
-        out.append(x)
-    out.reverse()
-    return out
-
-
-def _virtual_suffix(last: int, count: int) -> list[int]:
-    out: list[int] = []
-    x = last
+    x = end
     for _ in range(count):
         x = _virtual_prev(x)
         out.append(x)
@@ -316,7 +305,7 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     if instance.topology == CYCLE:
         seq = [labels[(i - before) % length] for i in range(length + before + after)]
     else:
-        seq = _virtual_prefix(labels[0], before) + list(labels) + _virtual_suffix(labels[-1], after)
+        seq = _virtual_run(labels[0], before)[::-1] + list(labels) + _virtual_run(labels[-1], after)
 
     for stage in alg.stages or (alg,):
         wl = stage.window_length

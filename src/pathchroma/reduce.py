@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .model import (
     ONE_SIDED,
@@ -22,21 +22,12 @@ from .model import (
     ColourWindow,
     format_count,
     identity_algorithm,
+    tower,
 )
 
 
-def colex_rank(members: Iterable[int], m: int | None = None) -> int:
-    """1-based colexicographic rank of a k-subset of [m] (largest elements first)."""
-    ms = sorted(members)
-    if not ms or ms[0] < 1 or len(set(ms)) != len(ms):
-        raise ValueError("members must be a non-empty set of distinct positive integers")
-    if m is not None and ms[-1] > m:
-        raise ValueError(f"member {ms[-1]} outside universe [{m}]")
-    return 1 + sum(comb(a - 1, i) for i, a in enumerate(ms, start=1))
-
-
 def colex_unrank(rank: int, k: int, m: int) -> frozenset[int]:
-    """The k-subset of [m] with the given colexicographic rank; inverse of colex_rank."""
+    """The k-subset of [m] with the given 1-based colexicographic rank."""
     if not 1 <= k <= m:
         raise ValueError("need 1 <= k <= m")
     if not 1 <= rank <= comb(m, k):
@@ -77,30 +68,6 @@ def _colex_masks(k: int, count: int) -> list[int]:
     return masks
 
 
-@dataclass(frozen=True)
-class SubsetCode:
-    """A colour interpreted as a k-subset of [2k] under the colex code."""
-
-    k: int
-    rank: int
-    members: frozenset[int]
-
-    @property
-    def universe(self) -> int:
-        return 2 * self.k
-
-    @classmethod
-    def from_rank(cls, rank: int, k: int) -> "SubsetCode":
-        return cls(k, rank, colex_unrank(rank, k, 2 * k))
-
-    @classmethod
-    def from_members(cls, members: Iterable[int], k: int) -> "SubsetCode":
-        ms = frozenset(members)
-        if len(ms) != k:
-            raise ValueError(f"expected a {k}-subset")
-        return cls(k, colex_rank(ms, 2 * k), ms)
-
-
 def _fits_subset_code(n: int | TowerValue, k: int) -> bool:
     """Decide n <= C(2k, k), exactly when n is an integer.
 
@@ -120,7 +87,7 @@ def _ceil_log2(n: int | TowerValue) -> int:
         return (n - 1).bit_length()
     if n.height - 1 > 5:
         raise ValueError(f"cannot schedule above tower(6): {n}")
-    prev = [1, 2, 4, 16, 65536, 2**65536][n.height - 1]
+    prev = tower(n.height - 1)
     return prev if n.offset == 0 else prev + 1
 
 

@@ -45,32 +45,6 @@ def decode_family(rank: int, c: int) -> frozenset[int]:
     return frozenset(i + 1 for i in range(c) if rank >> i & 1)
 
 
-def encode_family(members, c: int) -> int:
-    """Inverse of :func:`decode_family`."""
-    ms = frozenset(members)
-    if not ms or any(not 1 <= x <= c for x in ms):
-        raise ValueError(f"expected a non-empty subset of [{c}]")
-    if len(ms) == c:
-        raise ValueError("the full colour set is not a valid family")
-    return sum(1 << (x - 1) for x in ms)
-
-
-@dataclass(frozen=True)
-class ColourFamily:
-    """A set of previous-level colours together with its integer encoding."""
-
-    members: frozenset[int]
-    palette_size: int
-
-    @property
-    def rank(self) -> int:
-        return encode_family(self.members, self.palette_size)
-
-    @classmethod
-    def from_rank(cls, rank: int, palette_size: int) -> "ColourFamily":
-        return cls(decode_family(rank, palette_size), palette_size)
-
-
 @dataclass(frozen=True)
 class SpeedUpResult:
     algorithm: ReductionAlgorithm
@@ -137,12 +111,6 @@ def speed_up(alg: ReductionAlgorithm) -> SpeedUpResult:
     return SpeedUpResult(_faster(alg, fast_rule), lambda rank: decode_family(rank, c))
 
 
-def _rule_table(alg: ReductionAlgorithm) -> dict[ColourWindow, int]:
-    """The algorithm's output on every valid window, in enumeration order."""
-    rule = alg.rule
-    return {w: rule(w) for w in proper_sequences(alg.in_palette.size, alg.window_length)}
-
-
 def _speed_up_table(
     table: Mapping[ColourWindow, int], n: int, wl: int, c: int
 ) -> dict[ColourWindow, int]:
@@ -199,72 +167,10 @@ class ColourRelation:
         return "\n".join(lines) + "\n"
 
 
-def _as_lookup(semantic: Mapping[int, Colour] | None) -> Callable[[int], Colour]:
-    return (lambda x: x) if semantic is None else semantic.__getitem__
-
-
-def _check_sequences(alg: ReductionAlgorithm, length: int, budget: int | None) -> None:
-    budget = DEFAULT_BUDGET if budget is None else budget
+def _check_sequences(alg: ReductionAlgorithm, length: int, budget: int) -> None:
     cost = count_proper_sequences(alg.in_palette.size, length)
     if cost > budget:
         raise BudgetExceeded(f"{cost} sequences exceed budget {budget}")
-
-
-def _successor_relation(table: Mapping[ColourWindow, int], wl: int, semantic) -> ColourRelation:
-    """The successor relation of a table over the windows of length ``wl``.
-
-    A sequence one entry longer than a window is x+v+y around a stem v of
-    length wl-1: its first window is x+v and its last v+y.  For a non-empty
-    stem every x != v[0] goes with every y != v[-1], so the relation is the
-    union over stems of {T[x+v]} x {T[v+y]}.  An empty stem (wl = 1) couples
-    the two sides through x != y instead.
-    """
-    if wl == 1:
-        raw = {(a, b) for (x,), a in table.items() for (y,), b in table.items() if x != y}
-    else:
-        own: dict[ColourWindow, set[int]] = {}  # stem v -> {T[x+v]}
-        successor: dict[ColourWindow, set[int]] = {}  # stem v -> {T[v+y]}
-        for window, colour in table.items():
-            own.setdefault(window[1:], set()).add(colour)
-            successor.setdefault(window[:-1], set()).add(colour)
-        sides = {(frozenset(xs), frozenset(successor[stem])) for stem, xs in own.items()}
-        raw = {(a, b) for xs, ys in sides for a in xs for b in ys}
-    sem = _as_lookup(semantic)
-    return ColourRelation("successor", frozenset((sem(a), sem(b)) for a, b in raw))
-
-
-def successor_relation(alg: ReductionAlgorithm, *, budget: int | None = None) -> ColourRelation:
-    """All (own output, successor output) pairs over adjacent-distinct inputs.
-
-    The budget counts the sequences one entry longer than the window, but
-    the rule is evaluated only once per window.
-    """
-    _check_sequences(alg, alg.window_length + 1, budget)
-    return _successor_relation(_rule_table(alg), alg.window_length, None)
-
-
-def _output_relation(
-    table: Mapping[ColourWindow, int], faster_rule, semantic, semantic_faster
-) -> ColourRelation:
-    raw = {(colour, faster_rule(window[1:])) for window, colour in table.items()}
-    sem_a = _as_lookup(semantic)
-    sem_b = _as_lookup(semantic_faster)
-    return ColourRelation("output", frozenset((sem_a(a), sem_b(b)) for a, b in raw))
-
-
-def output_relation(
-    alg: ReductionAlgorithm, faster: ReductionAlgorithm, *, budget: int | None = None
-) -> ColourRelation:
-    """All (own colour under ``alg``, own colour under ``faster``) pairs.
-
-    ``faster`` must be the speed-up of ``alg``; its window at a node is the
-    suffix of the node's full window, so both colours come from one
-    enumeration of full windows.
-    """
-    if faster.rounds != alg.rounds - 1:
-        raise ValueError("expected the one-round speed-up of the source algorithm")
-    _check_sequences(alg, alg.window_length, budget)
-    return _output_relation(_rule_table(alg), faster.rule, None, None)
 
 
 def lemma7_pairs(output_rel: ColourRelation) -> frozenset[tuple[Colour, Colour]]:
@@ -308,17 +214,44 @@ class SpeedUpTower:
         return self._level(k).colours()
 
     def successor_relation(self, k: int) -> ColourRelation:
+        """All (own colour, successor colour) pairs at level k over adjacent-distinct inputs.
+
+        A sequence one entry longer than a window is x+v+y around a stem v of
+        length wl-1: its first window is x+v and its last v+y.  For a non-empty
+        stem every x != v[0] goes with every y != v[-1], so the relation is the
+        union over stems of {T[x+v]} x {T[v+y]}.  An empty stem (wl = 1) couples
+        the two sides through x != y instead.  The budget counts the sequences,
+        but each window is read once.
+        """
         level = self._level(k)
         wl = level.algorithm.window_length
         _check_sequences(level.algorithm, wl + 1, self.budget)
-        return _successor_relation(level.table, wl, level.semantic)
+        table = level.table
+        if wl == 1:
+            raw = {(a, b) for (x,), a in table.items() for (y,), b in table.items() if x != y}
+        else:
+            own: dict[ColourWindow, set[int]] = {}  # stem v -> {T[x+v]}
+            successor: dict[ColourWindow, set[int]] = {}  # stem v -> {T[v+y]}
+            for window, colour in table.items():
+                own.setdefault(window[1:], set()).add(colour)
+                successor.setdefault(window[:-1], set()).add(colour)
+            sides = {(frozenset(xs), frozenset(successor[stem])) for stem, xs in own.items()}
+            raw = {(a, b) for xs, ys in sides for a in xs for b in ys}
+        sem = level.semantic
+        return ColourRelation("successor", frozenset((sem[a], sem[b]) for a, b in raw))
 
     def output_relation(self, k: int) -> ColourRelation:
+        """All (colour at level k, colour at level k+1) pairs of one node.
+
+        Level k+1's window at a node is the suffix of its level-k window, so
+        one pass over level k's table gives both colours.
+        """
         level, faster = self._level(k), self._level(k + 1)
         _check_sequences(level.algorithm, level.algorithm.window_length, self.budget)
-        return _output_relation(
-            level.table, faster.table.__getitem__, level.semantic, faster.semantic
-        )
+        fast = faster.table
+        raw = {(colour, fast[window[1:]]) for window, colour in level.table.items()}
+        sem, fast_sem = level.semantic, faster.semantic
+        return ColourRelation("output", frozenset((sem[a], fast_sem[b]) for a, b in raw))
 
     def compose_colouring(self, colouring: Mapping, k: int) -> ReductionAlgorithm:
         level = self._level(k)
@@ -354,7 +287,8 @@ def iterate_speed_up(
         if spent > budget:
             raise BudgetExceeded(f"{spent} window evaluations exceed budget {budget}")
         if below is None:
-            table = _rule_table(alg)
+            rule = alg.rule
+            table = {w: rule(w) for w in proper_sequences(n, wl)}
             realized = frozenset(table.values())
             levels.append(SpeedUpLevel(alg, realized, {r: r for r in realized}, table))
         else:
@@ -380,7 +314,7 @@ def compose_colouring(
     is again a proper reduction, now onto the colouring's palette.  Raises if
     a realized colour has no entry.
     """
-    sem = _as_lookup(semantic)
+    sem = (lambda x: x) if semantic is None else semantic.__getitem__
     rule = alg.rule
 
     def composed(window: ColourWindow) -> int:
@@ -433,12 +367,6 @@ def search_one_round_map(n: int, c: int, *, budget: int | None = None) -> tuple[
         else:
             return True, examined
     return False, examined
-
-
-def exhaustive_one_round_lower_bound(n: int, c: int, *, budget: int | None = None) -> bool:
-    """True iff no one-round rule on [n] windows yields a proper c-colouring."""
-    exists, _ = search_one_round_map(n, c, budget=budget)
-    return not exists
 
 
 def random_proper_table(

@@ -156,6 +156,25 @@ def test_repro_single_claim(capsys):
     assert "531441" in lines[0]
 
 
+def test_repro_lemma6_builds_one_tower(capsys, monkeypatch):
+    # The claim's successor graph is read off the tower it already holds.
+    import pathchroma.cli as cli_module
+    import pathchroma.graphs as graphs_module
+
+    builds = []
+    build = cli_module.iterate_speed_up
+
+    def counted(*args, **kwargs):
+        builds.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(cli_module, "iterate_speed_up", counted)
+    monkeypatch.setattr(graphs_module, "iterate_speed_up", counted)
+    code, out, _ = run(capsys, "repro-paper", "--only", "lemma6")
+    assert code == 0 and out.startswith("PASS lemma6")
+    assert len(builds) == 1
+
+
 def test_repro_budget_exhaustion(capsys):
     code, _, err = run(capsys, "repro-paper", "--only", "lemma4", "--budget", "10")
     assert code == 3

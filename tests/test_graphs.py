@@ -29,7 +29,9 @@ def triangle():
 def test_ugraph_basics():
     g = triangle()
     assert g.vertex_count == 3 and g.edge_count == 3
-    assert g.has_edge("a", "c") and not g.has_edge("a", "a") is None
+    assert g.label_edges() == {F("ab"), F("bc"), F("ac")}
+    path = UGraph.from_label_edges("abc", [("a", "b"), ("b", "c")])
+    assert F("ab") in path.label_edges() and F("ac") not in path.label_edges()
     assert sorted(g.degrees()) == [2, 2, 2]
     with pytest.raises(ValueError):
         UGraph.from_label_edges("ab", [("a", "a")])
@@ -99,8 +101,8 @@ def test_sixteen_classes_explicit_members():
         F({F({1, 2}), F({1}), F({2})}),
     }
     singletons = F({F({1}), F({2}), F({3})})
-    assert part.classify(singletons) == "X0({1,2,3})"
-    assert 1 <= part.class_index(singletons) <= 16
+    assert dict(part.classes)["X0({1,2,3})"] == {singletons}
+    assert 1 <= part.as_colouring()[singletons] <= 16
 
 
 def test_verify_partition_edge_cases():

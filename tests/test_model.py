@@ -74,10 +74,9 @@ def test_tower_values():
     assert str(sym) == "pt:6"
 
 
-def test_tower_symbolic_limit_configurable():
-    sym5 = tower(5, exact_limit=4)
-    assert isinstance(sym5, TowerValue)
-    assert sym5.exact() == 2**65536
+def test_tower_exact_through_height_five():
+    assert tower(5) == TowerValue(5).exact() == 2**65536
+    assert isinstance(tower(5), int)
     with pytest.raises(ValueError):
         tower(-1)
 
@@ -144,6 +143,20 @@ def test_virtual_extension_on_paths():
     assert out.labels == (1, 3, 2)
     out = run_algorithm(alg, PathInstance(PATH, (1, 2, 3)))
     assert out.labels == (2, 1, 2)
+
+
+@pytest.mark.parametrize(
+    "t,ahead,behind", [(1, (1, 3, 2, 1), (1, 3, 1, 3)), (2, (3, 2, 1, 2), (2, 1, 3, 1))]
+)
+def test_virtual_extension_on_paths_two_sided(t, ahead, behind):
+    # A two-sided rule echoing its last (first) window entry outputs the
+    # colour t nodes ahead (behind).  Past the tail of (3, 1, 3, 2) the path
+    # continues with prev(2) = 1, then prev(1) = 2; before the head it reads
+    # ..., prev(prev(3)) = 2, prev(3) = 1.
+    path = PathInstance(PATH, (3, 1, 3, 2))
+    for echo, expected in ((lambda w: w[-1], ahead), (lambda w: w[0], behind)):
+        alg = ReductionAlgorithm(TWO_SIDED, t, Palette(3), Palette(3), echo, name="echo")
+        assert run_algorithm(alg, path).labels == expected
 
 
 def test_proper_sequences_enumeration():

@@ -17,19 +17,14 @@ from pathchroma.model import (
 )
 from pathchroma.reduce import compose, four_to_three, ns_algorithm, ns_schedule
 from pathchroma.speedup import (
-    ColourFamily,
     ColourRelation,
     compose_colouring,
     decode_family,
-    encode_family,
-    exhaustive_one_round_lower_bound,
     iterate_speed_up,
     lemma7_pairs,
-    output_relation,
     random_proper_table,
     search_one_round_map,
     speed_up,
-    successor_relation,
 )
 
 F = frozenset
@@ -37,20 +32,12 @@ F = frozenset
 
 def test_family_encoding_round_trip():
     assert decode_family(6, 3) == F({2, 3})
-    assert encode_family({2, 3}, 3) == 6
     for rank in range(1, 2**4 - 1):
-        assert encode_family(decode_family(rank, 4), 4) == rank
+        assert sum(1 << (x - 1) for x in decode_family(rank, 4)) == rank
     with pytest.raises(ValueError):
         decode_family(7, 3)  # the full set
     with pytest.raises(ValueError):
-        encode_family({1, 2, 3}, 3)
-    with pytest.raises(ValueError):
-        encode_family(set(), 3)
-
-
-def test_colour_family_dataclass():
-    fam = ColourFamily.from_rank(6, 3)
-    assert fam.members == F({2, 3}) and fam.rank == 6
+        decode_family(0, 3)  # the empty set
 
 
 def test_speed_up_of_four_to_three_windows():
@@ -117,7 +104,7 @@ def test_tower_colour_levels_for_seven_colour_schedule():
 
 
 def test_successor_relation_of_four_to_three():
-    rel = successor_relation(four_to_three())
+    rel = iterate_speed_up(four_to_three(), 0).successor_relation(0)
     assert rel.is_irreflexive()
     assert all(a != 4 and b != 4 for a, b in rel.pairs)
     assert (1, 2) in rel.pairs
@@ -176,17 +163,16 @@ def test_one_round_lower_bound_four_three():
     exists, examined = search_one_round_map(4, 3)
     assert not exists
     assert examined == 3**12
-    assert exhaustive_one_round_lower_bound(4, 3)
 
 
 def test_one_round_maps_exist_for_easier_targets():
-    assert not exhaustive_one_round_lower_bound(4, 4)
-    assert not exhaustive_one_round_lower_bound(3, 3)
+    assert search_one_round_map(4, 4)[0]
+    assert search_one_round_map(3, 3)[0]
 
 
 def test_one_round_budget():
     with pytest.raises(BudgetExceeded):
-        exhaustive_one_round_lower_bound(4, 3, budget=1000)
+        search_one_round_map(4, 3, budget=1000)
 
 
 @pytest.mark.parametrize("n,c", [(3, 2), (3, 3), (4, 2), (4, 3)])
@@ -283,8 +269,6 @@ def _assert_tower_matches_oracle(alg, k):
         assert tower.successor_relation(i).pairs == _oracle_successors(n, level)
         if i < k:
             assert tower.output_relation(i).pairs == _oracle_outputs(n, level, oracle[i + 1])
-    # the standalone relation agrees with the tower's level 0
-    assert successor_relation(alg).pairs == _oracle_successors(n, oracle[0])
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7, 8])
@@ -330,17 +314,6 @@ def test_iterate_budget_thresholds_unchanged():
     with pytest.raises(BudgetExceeded, match="54432 sequences"):
         tower.successor_relation(0)  # 7*6^5 > budget
     assert tower.output_relation(1).pairs  # 7*6^3 windows
-
-
-def test_standalone_relation_budget_thresholds_unchanged():
-    alg = four_to_three()  # sequences of 4 colours: 4*3^3 = 108
-    assert successor_relation(alg, budget=108).pairs
-    with pytest.raises(BudgetExceeded, match="108 sequences exceed budget 107"):
-        successor_relation(alg, budget=107)
-    faster = speed_up(alg).algorithm
-    assert output_relation(alg, faster, budget=36).pairs  # 4*3^2 windows
-    with pytest.raises(BudgetExceeded, match="36 sequences exceed budget 35"):
-        output_relation(alg, faster, budget=35)
 
 
 def test_iterate_flags_improper_source_like_speed_up():

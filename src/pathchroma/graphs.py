@@ -2,18 +2,18 @@
 
 The neighbourhood graph on colour windows encodes one-round algorithms as
 proper colourings, so its chromatic number yields round lower bounds.  The
-worst-case successor graph takes the structural containments of the
-speed-up's first two iterations with equality; any concrete algorithm's
-second-level successor graph embeds into it, and its explicit 16-class
-partition turns a 3-colouring algorithm into a 16-colouring one two rounds
-faster.
+worst-case successor graph S2* = δ_R(δ_R(K3)) takes the speed-up's
+containments with equality twice (δ_R, the saturated speed-up, is the
+arc-graph right adjoint); any concrete algorithm's second-level successor
+graph embeds into it, and its explicit 16-class partition turns a
+3-colouring algorithm into a 16-colouring one two rounds faster.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable
+from typing import Hashable, Iterable, Mapping
 
 from .model import ReductionAlgorithm, canonical_label, window_graph
 from .speedup import SpeedUpTower, iterate_speed_up
@@ -101,45 +101,35 @@ def neighbourhood_graph(n: int, t: int = 1, *, all_distinct: bool = True) -> UGr
     return UGraph(*window_graph(n, 2 * t + 1, all_distinct=all_distinct))
 
 
-_BASE = (F({1}), F({2}), F({3}), F({1, 2}), F({1, 3}), F({2, 3}))
-_PAIRS = (F({1, 2}), F({1, 3}), F({2, 3}))
+def _delta_r(out: Mapping[Hashable, frozenset]) -> dict[frozenset, frozenset[frozenset]]:
+    """δ_R of a digraph given as vertex -> out-neighbours, returned in the same form.
 
-
-def saturated_successors(x: frozenset[int]) -> frozenset[frozenset[int]]:
-    """The level-1 successor sets taken with equality: everything the
-    structural containments allow after a single singleton or pair colour."""
-    if len(x) == 1:
-        (i,) = x
-        return F(y for y in _BASE if i not in y)
-    return F(y for y in _BASE if not x <= y)
+    Vertices are the non-empty subsets of out-neighbourhoods (exactly the
+    vertex sets with an in-arc), by size, then by their members' positions
+    in ``out``.  X points at Y iff Y lies within N+(a) for some a in X.
+    """
+    order = tuple(out)
+    position = {v: i for i, v in enumerate(order)}
+    keys = set()
+    for succ in out.values():
+        members = sorted(position[v] for v in succ)
+        for r in range(1, len(members) + 1):
+            keys.update(itertools.combinations(members, r))
+    vertices = [F(order[i] for i in key) for key in sorted(keys, key=lambda key: (len(key), key))]
+    below = {a: F(y for y in vertices if y <= succ) for a, succ in out.items()}
+    return {x: F().union(*(below[a] for a in x)) for x in vertices}
 
 
 def worst_case_successor_graph() -> UGraph:
-    """The 55-vertex graph bounding every second-level successor graph.
+    """The 55-vertex graph S2* bounding every second-level successor graph.
 
-    Vertices are the non-empty families of level-1 colours that avoid
-    holding all three two-element sets; X points at Y when some member y of
-    X allows Y within its saturated successor set, and edges join the pairs
-    related in either orientation.  Loop-freeness is asserted at build time.
+    S2* is δ_R(δ_R(K3)) with arcs as edges.  δ_R(K3) is S1* on the six
+    non-empty proper subsets of {1,2,3}; S2*'s vertices are the families of
+    those that do not hold all three two-element sets.
     """
-    vertices = []
-    for r in range(1, len(_BASE) + 1):
-        for combo in itertools.combinations(_BASE, r):
-            family = F(combo)
-            if not all(p in family for p in _PAIRS):
-                vertices.append(family)
-    succ = {x: saturated_successors(x) for x in _BASE}
-    for family in vertices:
-        assert not any(y in family and family <= succ[y] for y in family), "loop"
-
-    def points_at(a: frozenset, b: frozenset) -> bool:
-        return any(b <= succ[y] for y in a)
-
-    edges = []
-    for a, b in itertools.combinations(vertices, 2):
-        if points_at(a, b) or points_at(b, a):
-            edges.append((a, b))
-    return UGraph.from_label_edges(vertices, edges)
+    k3 = {i: F({1, 2, 3} - {i}) for i in (1, 2, 3)}
+    s2 = _delta_r(_delta_r(k3))
+    return UGraph.from_label_edges(s2, ((x, y) for x, ys in s2.items() for y in ys))
 
 
 def successor_graph_of(
@@ -152,11 +142,8 @@ def successor_graph_of(
 
 def _successor_graph(tower: SpeedUpTower, k: int) -> UGraph:
     """The successor graph of level k of a tower already built."""
-    relation = tower.successor_relation(k)
     vertices = sorted(tower.colours(k), key=canonical_label)
-    edges = {(a, b) for a, b in relation.pairs if a != b}
-    assert relation.is_irreflexive()
-    return UGraph.from_label_edges(vertices, edges)
+    return UGraph.from_label_edges(vertices, tower.successor_relation(k).pairs)
 
 
 @dataclass(frozen=True)

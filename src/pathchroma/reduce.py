@@ -82,9 +82,14 @@ def _fits_subset_code(n: int | TowerValue, k: int) -> bool:
     return 4 * k >= 2 * bits + (4 * k).bit_length() + 1
 
 
-def _ceil_log2(n: int | TowerValue) -> int:
-    if isinstance(n, int):
-        return (n - 1).bit_length()
+def _exact_if_fits(n: int | TowerValue) -> int | TowerValue:
+    """n as an integer when it fits in memory, so only heights >= 6 stay symbolic."""
+    if isinstance(n, TowerValue) and n.height <= 5:
+        return n.exact()
+    return n
+
+
+def _ceil_log2(n: TowerValue) -> int:
     if n.height - 1 > 5:
         raise ValueError(f"cannot schedule above tower(6): {n}")
     prev = tower(n.height - 1)
@@ -93,6 +98,7 @@ def _ceil_log2(n: int | TowerValue) -> int:
 
 def least_ns_k(c: int | TowerValue) -> int:
     """Least k >= 2 whose subset code covers c colours (bound-based for symbolic c)."""
+    c = _exact_if_fits(c)
     if isinstance(c, int):
         # C(2k,k) < 4^k, so every feasible k has 2k > log2(c); start just
         # below that and walk upward, updating the binomial incrementally
@@ -125,6 +131,7 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     finished list, so concurrent callers at worst build it twice; larger
     palettes cache masks per colour in a ``functools.lru_cache``.
     """
+    n = _exact_if_fits(n)
     if k < 2:
         raise ValueError("subset-code reduction needs k >= 2")
     if not _fits_subset_code(n, k):
@@ -282,10 +289,9 @@ def ns_schedule(n: int | TowerValue) -> Pipeline:
     exact binomials for integer palettes and the central-binomial bound for
     symbolic ones.
     """
+    n = _exact_if_fits(n)
     if n < 3:
         raise ValueError("schedules are defined for n >= 3")
-    if isinstance(n, TowerValue) and n.height <= 5:
-        n = n.exact()  # fits in a bignum, so use exact binomial comparisons
     if n == 3:
         return Pipeline((identity_algorithm(3),))
     stages: list[ReductionAlgorithm] = []

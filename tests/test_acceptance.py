@@ -33,10 +33,10 @@ from pathchroma.speedup import (
     speed_up,
 )
 from pathchroma.graphs import (
+    _delta_r,
     explicit_sixteen_classes,
     successor_graph_of,
     neighbourhood_graph,
-    saturated_successors,
     verify_partition,
     worst_case_successor_graph,
 )
@@ -177,8 +177,11 @@ def test_criterion_7_relation_equivalence():
             frozenset((a, b) for a in (1, 2, 3) for b in (1, 2, 3) if a != b),
         )
         s1_pairs = lemma7_pairs(_saturate(s0_star))
-        level1 = {X for X, _ in s1_pairs}
-        assert s1_pairs == {(x, y) for x in level1 for y in saturated_successors(x)}
+        s1_star = _delta_r({i: frozenset({1, 2, 3} - {i}) for i in (1, 2, 3)})
+        assert list(s1_star) == [
+            frozenset(x) for x in ({1}, {2}, {3}, {1, 2}, {1, 3}, {2, 3})
+        ]
+        assert s1_pairs == {(x, y) for x, ys in s1_star.items() for y in ys}
         assert len(s1_pairs) == 24
 
         s2_pairs = lemma7_pairs(_saturate(ColourRelation("successor", s1_pairs)))

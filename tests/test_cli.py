@@ -69,6 +69,15 @@ def test_simulate_unknown_alg(capsys):
     assert code == 2
 
 
+def test_simulate_rejects_too_many_colours_for_k_before_output(capsys):
+    code, out, err = run(
+        capsys, "simulate", "--alg", "ns:n=pt:3+60000,k=5", "--input", "random:60016,30,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "n=60016 exceeds C(10,5)" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["simulate"]) == 2  # missing required flags
     assert main(["no-such-command"]) == 2

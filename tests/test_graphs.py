@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -7,10 +8,10 @@ from pathchroma.model import canonical_label
 from pathchroma.graphs import (
     ColourClassPartition,
     UGraph,
+    _delta_r,
     explicit_sixteen_classes,
     from_dimacs,
     neighbourhood_graph,
-    saturated_successors,
     successor_graph_of,
     to_dimacs,
     verify_partition,
@@ -69,8 +70,10 @@ def test_neighbourhood_graph_adjacent_only_mode():
 
 
 def test_saturated_successors():
-    assert saturated_successors(F({1})) == {F({2}), F({3}), F({2, 3})}
-    assert saturated_successors(F({1, 2})) == {
+    s1_star = _delta_r({i: F({1, 2, 3} - {i}) for i in (1, 2, 3)})
+    assert list(s1_star) == [F({1}), F({2}), F({3}), F({1, 2}), F({1, 3}), F({2, 3})]
+    assert s1_star[F({1})] == {F({2}), F({3}), F({2, 3})}
+    assert s1_star[F({1, 2})] == {
         F({1}), F({2}), F({3}), F({1, 3}), F({2, 3}),
     }
 
@@ -78,8 +81,11 @@ def test_saturated_successors():
 def test_worst_case_graph_shape():
     star = worst_case_successor_graph()
     assert star.vertex_count == 55  # 2^6 - 1 - 8
-    # loop-freeness is asserted during the build; edges are sane
+    # from_label_edges rejects loops; edges are sane
     assert all(i != j for i, j in star.edges)
+    # pins the label order and the edges, so every search on S2* too
+    digest = hashlib.sha256(to_dimacs(star).encode()).hexdigest()
+    assert digest[:16] == "b6b16e1440ee625f"
 
 
 def test_sixteen_classes_partition():

@@ -1,7 +1,9 @@
 import re
+import shlex
 from pathlib import Path
 
 import pathchroma
+from pathchroma.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -15,3 +17,21 @@ def test_readme_tour_runs_and_all_names_resolve():
     exec(compile(block, str(README), "exec"), {})
     missing = [name for name in pathchroma.__all__ if not hasattr(pathchroma, name)]
     assert missing == []
+
+
+def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
+    # Every line of the README's command-line block exits 0 as written.
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("PATHCHROMA_BUDGET", raising=False)
+    text = README.read_text()
+    section = text[text.index("## Command line") :]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    lines = [line.split("#")[0].split("|")[0].strip() for line in block.splitlines()]
+    assert lines
+    for line in lines:
+        argv = shlex.split(line)
+        assert argv[0] == "pathchroma"
+        assert main(argv[1:]) == 0, line
+        out = capsys.readouterr().out
+        if argv[1:] == ["repro-paper"]:
+            assert sum(row.startswith("PASS ") for row in out.splitlines()) == 7

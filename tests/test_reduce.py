@@ -265,6 +265,23 @@ def test_schedule_symbolic_tower_six():
     assert pipe.out_palette.size == 3
 
 
+def test_symbolic_palettes_that_fit_are_decided_exactly():
+    # tower(3) + 60000 = 60016 > C(10,5) = 252, symbolic or not
+    for n in (TowerValue(3, 60000), 60016):
+        with pytest.raises(ValueError, match=r"n=60016 exceeds C\(10,5\)"):
+            ns_algorithm(n, 5)
+    offsets = [0, 1, 2, 3, 10, 100, 1000, 10**4, 50000, 10**6, 10**9, 2**100, 2**999]
+    for h in range(5):
+        for d in offsets:
+            n = tower(h) + d
+            if n >= tower(h + 1):
+                continue
+            k = 2  # reference: walk k up with exact binomials
+            while comb(2 * k, k) < n:
+                k += 1
+            assert least_ns_k(TowerValue(h, d)) == least_ns_k(n) == k
+
+
 def test_schedule_stages_all_proper():
     for n in (5, 17, 300, 65537):
         for stage in ns_schedule(n).stages:

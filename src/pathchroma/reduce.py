@@ -286,10 +286,9 @@ def ns_schedule(n: int | TowerValue) -> Pipeline:
     While more than 6 colours remain, apply the subset-code reduction with
     the least k that covers the current palette; step through 4 colours via
     k = 2 when 4 < c <= 6; finish with the two-round 4-to-3 reducer.  Uses
-    exact binomials for integer palettes and the central-binomial bound for
-    symbolic ones.
+    exact binomials for palettes up to tower(5) + d and the central-binomial
+    bound for taller ones.
     """
-    n = _exact_if_fits(n)
     if n < 3:
         raise ValueError("schedules are defined for n >= 3")
     if n == 3:

@@ -157,9 +157,6 @@ class ColourRelation:
     def image(self, x: Colour) -> frozenset[Colour]:
         return frozenset(b for a, b in self.pairs if a == x)
 
-    def is_irreflexive(self) -> bool:
-        return all(a != b for a, b in self.pairs)
-
     def to_text(self) -> str:
         lines = sorted(
             f"{canonical_label(a)} -> {canonical_label(b)}" for a, b in self.pairs
@@ -194,6 +191,7 @@ class SpeedUpTower:
     """Algorithms A_0 .. A_k from iterating the speed-up, with their colours."""
 
     levels: tuple[SpeedUpLevel, ...]
+    budget: int
 
     def _level(self, k: int) -> SpeedUpLevel:
         if not 0 <= k < len(self.levels):
@@ -213,14 +211,17 @@ class SpeedUpTower:
         length wl-1: its first window is x+v and its last v+y.  For a non-empty
         stem every x != v[0] goes with every y != v[-1], so the relation is the
         union over stems of {T[x+v]} x {T[v+y]}.  An empty stem (wl = 1) couples
-        the two sides through x != y instead.  Each window is read once from
-        the table, whose evaluation ``iterate_speed_up`` already charged to
-        its budget.
+        the two sides through x != y instead.  Each window is read once and
+        its level paid for it; a 0-round level 0 paid for n windows, not for
+        the n(n-1) sequences the empty stem pairs, so those are charged here.
         """
         level = self._level(k)
         wl = level.algorithm.window_length
         table = level.table
         if wl == 1:
+            cost = count_proper_sequences(level.algorithm.in_palette.size, 2)
+            if cost > self.budget:
+                raise BudgetExceeded(f"{cost} sequences exceed budget {self.budget}")
             raw = {(a, b) for (x,), a in table.items() for (y,), b in table.items() if x != y}
         else:
             own: dict[ColourWindow, set[int]] = {}  # stem v -> {T[x+v]}
@@ -290,7 +291,7 @@ def iterate_speed_up(
             semantic = {r: frozenset(prev[x] for x in decode_family(r, c)) for r in realized}
             faster = _faster(below.algorithm, table.__getitem__)
             levels.append(SpeedUpLevel(faster, realized, semantic, table))
-    return SpeedUpTower(tuple(levels))
+    return SpeedUpTower(tuple(levels), budget)
 
 
 def compose_colouring(

@@ -201,6 +201,17 @@ def test_budget_env_variable(capsys, monkeypatch):
     assert code == 3
 
 
+def test_speedup_zero_round_successors_within_budget(capsys, monkeypatch):
+    # identity:n=20000 has 20000 windows but 20000*19999 successor pairs
+    monkeypatch.delenv("PATHCHROMA_BUDGET", raising=False)
+    code, out, err = run(
+        capsys, "speedup", "--alg", "identity:n=20000", "--k", "0", "--successors", "0"
+    )
+    assert code == 3
+    assert out == ""
+    assert "399980000 sequences exceed budget 100000000" in err
+
+
 @pytest.mark.parametrize(
     "flag,level", [("--successors", "5"), ("--successors", "-1"), ("--outputs", "-1")]
 )

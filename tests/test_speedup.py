@@ -11,6 +11,7 @@ from pathchroma.model import (
     Palette,
     ReductionAlgorithm,
     exhaustive_properness_check,
+    identity_algorithm,
     proper_sequences,
     two_sided_from_one_sided,
     window_graph,
@@ -105,7 +106,7 @@ def test_tower_colour_levels_for_seven_colour_schedule():
 
 def test_successor_relation_of_four_to_three():
     rel = iterate_speed_up(four_to_three(), 0).successor_relation(0)
-    assert rel.is_irreflexive()
+    assert all(a != b for a, b in rel.pairs)
     assert all(a != 4 and b != 4 for a, b in rel.pairs)
     assert (1, 2) in rel.pairs
 
@@ -315,6 +316,15 @@ def test_iterate_budget_thresholds_unchanged():
         assert tower.successor_relation(k) == full.successor_relation(k)
     for k in range(2):
         assert tower.output_relation(k) == full.output_relation(k)
+    # a window of length 1 pairs n(n-1) sequences; above level 0 they were
+    # the windows of the level below (4*3^2 + 4*3 + 4 evaluations) ...
+    top = iterate_speed_up(four_to_three(), 2, budget=52).successor_relation(2)
+    assert top == iterate_speed_up(four_to_three(), 2).successor_relation(2)
+    # ... but a 0-round source paid for n windows only, so the pairs are charged
+    zero = iterate_speed_up(identity_algorithm(20), 0, budget=380)
+    assert len(zero.successor_relation(0).pairs) == 20 * 19
+    with pytest.raises(BudgetExceeded, match="380 sequences exceed budget 379"):
+        iterate_speed_up(identity_algorithm(20), 0, budget=379).successor_relation(0)
 
 
 def test_iterate_flags_improper_source_like_speed_up():

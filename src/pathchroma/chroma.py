@@ -3,7 +3,11 @@
 Every colouring search in the package runs one saturation-first (DSATUR,
 Brélaz 1979) backtracking kernel, ``_dsatur``.  It extends the uncoloured
 vertex seeing the most distinct neighbour colours, then the highest degree,
-and undoes its last choice when a vertex has no colour left.
+and undoes its last choice when a vertex has no colour left.  The kernel
+keeps the uncoloured vertices in one bucket per saturation and moves a
+vertex between buckets where its forbidden colours change, so a pick scans
+only the top bucket for the highest degree rather than every uncoloured
+vertex (San Segundo 2012).
 
 Without an RNG it is the complete search of :func:`k_colourable`: ties go
 to the least index and colours are tried in ascending order, up to one
@@ -12,9 +16,11 @@ colour symmetry is broken only soundly, by that fresh-colour cap and a
 precoloured greedy clique.  With k equal to the vertex count its first
 descent never backtracks, and it is :func:`greedy_colouring`.
 
-With an RNG it is the restart body of ``speedup.random_proper_table``: ties
-and a shuffled order of all free colours are drawn from the RNG, under a
-backtrack cap.  The fresh-colour cap is left out: a sampler needs no
+With an RNG it is the restart body of ``speedup.random_proper_table``: the
+tied vertices, in ascending index order, and a shuffled order of all free
+colours are drawn from the RNG, under a backtrack cap.  The ascending order
+makes a seed fix the search on any interpreter, whatever order its sets
+iterate in.  The fresh-colour cap is left out: a sampler needs no
 symmetry breaking, and the cap would change the random stream that sampled
 tables come from.
 """
@@ -76,7 +82,8 @@ def _dsatur(
 ) -> tuple[list[int] | None, int]:
     """Search for a proper colouring in [k] (see the module docstring).
 
-    ``precolouring`` fixes the colours of some vertices before the search.
+    ``degrees[v]`` is ``len(adj[v])``.  ``precolouring`` fixes the colours of
+    some vertices before the search.
     Returns (colour per vertex, search nodes), with None for the colouring
     once the search is exhausted or has backtracked more than
     ``max_backtracks`` times.  Raises :class:`BudgetExceeded` past
@@ -85,38 +92,44 @@ def _dsatur(
     n = len(adj)
     colour = [0] * n
     forbidden = [0] * n
-    uncoloured = set(range(n))
     max_used = 0
     for v, c in (precolouring or {}).items():
         colour[v] = c
-        uncoloured.discard(v)
         bit = 1 << (c - 1)
         for u in adj[v]:
             forbidden[u] |= bit
         max_used = max(max_used, c)
+    # Uncoloured vertices by saturation.  The vertex whose colours are being
+    # tried is in no bucket until it runs out of them.  A saturation never
+    # exceeds the degree, and top is at least every bucketed saturation.
+    sat = [f.bit_count() for f in forbidden]
+    buckets = [set() for _ in range(max(degrees, default=0) + 1)]
+    for v in range(n):
+        if not colour[v]:
+            buckets[sat[v]].add(v)
+    left = sum(map(len, buckets))
+    top = len(buckets) - 1
+    rank = [d * n + n - 1 - v for v, d in enumerate(degrees)]  # degree, then least index
 
     palette = range(1, k + 1)
-    shift = max(degrees, default=0).bit_length()  # key orders by saturation, then degree
     nodes = 0
     backtracks = 0
     frames: list[tuple] = []
-    while uncoloured:
-        best = -1
-        for v in uncoloured:
-            key = forbidden[v].bit_count() << shift | degrees[v]
-            if key > best:
-                best = key
-                candidates = [v]
-            elif key == best:
-                candidates.append(v)
+    while left:
+        while not buckets[top]:
+            top -= 1
+        bucket = buckets[top]
+        v = max(bucket, key=rank.__getitem__)
         if rng is None:
-            v = min(candidates)
             # a fresh colour beyond max_used + 1 is symmetric to max_used + 1
             options = ~forbidden[v] & ((1 << min(k, max_used + 1)) - 1)
         else:
-            v = rng.choice(candidates)
+            d = degrees[v]
+            v = rng.choice(sorted(u for u in bucket if degrees[u] == d))
             options = [c for c in palette if not forbidden[v] >> (c - 1) & 1]
             rng.shuffle(options)
+        bucket.remove(v)
+        left -= 1
 
         while True:
             if options:
@@ -131,15 +144,23 @@ def _dsatur(
                     c = options.pop()
                     bit = 1 << (c - 1)
                 colour[v] = c
-                uncoloured.discard(v)
                 changed = []
                 for u in adj[v]:
                     if colour[u] == 0 and not forbidden[u] & bit:
                         forbidden[u] |= bit
+                        s = sat[u]
+                        sat[u] = s + 1
+                        buckets[s].remove(u)
+                        buckets[s + 1].add(u)
                         changed.append(u)
+                        if s == top:
+                            top += 1
                 frames.append((v, options, c, changed, max_used))
                 max_used = max(max_used, c)
                 break
+            buckets[sat[v]].add(v)
+            left += 1
+            top = max(top, sat[v])
             backtracks += 1
             if backtracks > max_backtracks or not frames:
                 return None, nodes
@@ -147,8 +168,11 @@ def _dsatur(
             bit = 1 << (c - 1)
             for u in changed:
                 forbidden[u] ^= bit
+                s = sat[u]
+                sat[u] = s - 1
+                buckets[s].remove(u)
+                buckets[s - 1].add(u)
             colour[v] = 0
-            uncoloured.add(v)
     return colour, nodes
 
 

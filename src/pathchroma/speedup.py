@@ -376,9 +376,15 @@ def random_proper_table(
     Samples by randomised backtracking over the window-overlap constraint
     graph (uniform rejection sampling is hopeless here: random tables are
     essentially never proper).  Short backtrack allowances with many
-    restarts sidestep the heavy-tailed search times.  Deterministic for a
-    fixed seed.  Raises RuntimeError when every restart exhausts its
-    allowance, e.g. for parameters where no proper table exists.
+    restarts sidestep the heavy-tailed search times.  A seed fixes the table
+    on any interpreter.  Three outcomes:
+
+    - a restart finds a proper colouring: the table is returned;
+    - the first restart fails and a complete search of at most
+      ``max_backtracks`` nodes refutes the window graph: RuntimeError
+      "no proper table exists ... proved";
+    - every restart fails without that proof: RuntimeError "... not found",
+      saying whether the complete search decided feasibility.
     """
     windows, edges = window_graph(n, t + 1)
     neighbours: list[list[int]] = [[] for _ in windows]
@@ -389,7 +395,8 @@ def random_proper_table(
     degree = [len(a) for a in adjacency]
 
     rng = random.Random(seed)
-    for _ in range(restarts):
+    feasibility = "feasibility not decided"
+    for restart in range(restarts):
         assignment = _random_dsatur(adjacency, degree, c, rng, max_backtracks=max_backtracks)
         if assignment is not None:
             table = {w: assignment[i] for i, w in enumerate(windows)}
@@ -401,8 +408,22 @@ def random_proper_table(
                 table.__getitem__,
                 name=f"table(n={n},t={t},c={c},seed={seed})",
             )
+        if restart == 0:
+            # No RNG, so the random stream is untouched; and not through
+            # _random_dsatur, whose calls are the restarts.
+            try:
+                colouring, nodes = _dsatur(adjacency, degree, c, node_limit=max_backtracks)
+            except BudgetExceeded:
+                continue
+            if colouring is None:
+                raise RuntimeError(
+                    f"no proper table exists for n={n}, t={t}, c={c} (proved: window graph "
+                    f"not {c}-colourable, UNSAT in {nodes} nodes)"
+                )
+            feasibility = f"a table exists (complete search found one in {nodes} nodes)"
     raise RuntimeError(
-        f"no proper table found for n={n}, t={t}, c={c} within the search allowance"
+        f"no proper table for n={n}, t={t}, c={c} in {restarts} restarts of "
+        f"{max_backtracks} backtracks: not found; {feasibility}"
     )
 
 

@@ -1,10 +1,15 @@
 import itertools
+import math
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pathchroma.errors import BudgetExceeded
 from pathchroma.chroma import (
     ColouringCertificate,
+    _dsatur,
+    _greedy_clique,
     chromatic_number,
     export_cnf,
     greedy_colouring,
@@ -192,3 +197,141 @@ def test_rejects_bad_k():
         k_colourable(triangle(), 0)
     with pytest.raises(ValueError):
         export_cnf(triangle(), 0)
+
+
+# --- the bucket kernel against a literal scan ---------------------------------
+
+
+def _scan_dsatur(
+    adj, degrees, k, precolouring=None, *, rng=None, node_limit=math.inf, max_backtracks=math.inf
+):
+    """DSATUR that rescans every uncoloured vertex per pick; ties in ascending order."""
+    n = len(adj)
+    colour = [0] * n
+    forbidden = [0] * n
+    uncoloured = set(range(n))
+    max_used = 0
+    for v, c in (precolouring or {}).items():
+        colour[v] = c
+        uncoloured.discard(v)
+        for u in adj[v]:
+            forbidden[u] |= 1 << (c - 1)
+        max_used = max(max_used, c)
+    shift = max(degrees, default=0).bit_length()  # key orders by saturation, then degree
+    nodes = backtracks = 0
+    frames = []
+    while uncoloured:
+        best = -1
+        for v in uncoloured:
+            key = forbidden[v].bit_count() << shift | degrees[v]
+            if key > best:
+                best, candidates = key, [v]
+            elif key == best:
+                candidates.append(v)
+        candidates.sort()
+        if rng is None:
+            v = candidates[0]
+            options = [
+                c for c in range(1, min(k, max_used + 1) + 1) if not forbidden[v] >> (c - 1) & 1
+            ]
+            options.reverse()  # pop() tries the least colour first
+        else:
+            v = rng.choice(candidates)
+            options = [c for c in range(1, k + 1) if not forbidden[v] >> (c - 1) & 1]
+            rng.shuffle(options)
+        while True:
+            if options:
+                nodes += 1
+                if nodes > node_limit:
+                    raise BudgetExceeded(f"node limit {node_limit} hit after {nodes - 1} nodes")
+                c = options.pop()
+                colour[v] = c
+                uncoloured.discard(v)
+                changed = [
+                    u for u in adj[v] if colour[u] == 0 and not forbidden[u] >> (c - 1) & 1
+                ]
+                for u in changed:
+                    forbidden[u] |= 1 << (c - 1)
+                frames.append((v, options, c, changed, max_used))
+                max_used = max(max_used, c)
+                break
+            backtracks += 1
+            if backtracks > max_backtracks or not frames:
+                return None, nodes
+            v, options, c, changed, max_used = frames.pop()
+            for u in changed:
+                forbidden[u] ^= 1 << (c - 1)
+            colour[v] = 0
+            uncoloured.add(v)
+    return colour, nodes
+
+
+def _both_kernels(adj, k, precolouring=None, seed=None, **limits):
+    """Run the kernel and the scan on one input; return each outcome and RNG state."""
+    degrees = [len(a) for a in adj]
+    outcomes = []
+    for kernel in (_dsatur, _scan_dsatur):
+        rng = None if seed is None else random.Random(seed)
+        try:
+            result = kernel(adj, degrees, k, precolouring, rng=rng, **limits)
+        except BudgetExceeded as error:
+            result = str(error)
+        outcomes.append((result, rng and rng.getstate()))
+    return outcomes
+
+
+def _search_input(graph, k):
+    """Adjacency and the precoloured clique that k_colourable hands the kernel."""
+    adj = graph.adjacency()
+    clique = _greedy_clique([set(a) for a in adj], [len(a) for a in adj])
+    return adj, {v: i for i, v in enumerate(clique[:k], start=1)}
+
+
+_PAPER_SEARCHES = [(neighbourhood_graph(n, 1), 3) for n in (7, 8, 9)]
+_PAPER_SEARCHES += [(neighbourhood_graph(n, 1, all_distinct=False), 3) for n in range(5, 11)]
+_PAPER_SEARCHES.append((worst_case_successor_graph(), 16))
+
+
+@pytest.mark.parametrize(
+    "graph,k", _PAPER_SEARCHES, ids=["N7", "N8", "N9", "A5", "A6", "A7", "A8", "A9", "A10", "S2*"]
+)
+def test_kernel_matches_scan_on_paper_graphs(graph, k):
+    adj, precolouring = _search_input(graph, k)
+    kernel, scan = _both_kernels(adj, k, precolouring)
+    assert kernel == scan
+    assert kernel[0][1] == k_colourable(graph, k).nodes
+    for seed in range(3):
+        kernel, scan = _both_kernels(adj, k, seed=seed, max_backtracks=200)
+        assert kernel == scan
+
+
+@st.composite
+def _kernel_inputs(draw):
+    n = draw(st.integers(0, 12))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = draw(st.lists(st.sampled_from(pairs), max_size=30)) if pairs else []
+    neighbours = [set() for _ in range(n)]
+    for i, j in edges:
+        neighbours[i].add(j)
+        neighbours[j].add(i)
+    adj = [tuple(sorted(a)) for a in neighbours]
+    k = draw(st.integers(1, 5))
+    precolouring = {}
+    for v, c in draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(1, k))).items():
+        if v < n and all(precolouring.get(u) != c for u in adj[v]):
+            precolouring[v] = c
+    seed = draw(st.none() | st.integers(0, 2**32))
+    limits = draw(
+        st.fixed_dictionaries(
+            {}, optional={"max_backtracks": st.integers(0, 20), "node_limit": st.integers(0, 60)}
+        )
+    )
+    return adj, k, precolouring, seed, limits
+
+
+@settings(max_examples=400, deadline=None)
+@given(_kernel_inputs())
+def test_kernel_matches_scan_on_random_graphs(case):
+    adj, k, precolouring, seed, limits = case
+    kernel, scan = _both_kernels(adj, k, precolouring, seed, **limits)
+    assert kernel == scan

@@ -3,7 +3,7 @@ import itertools
 
 import pytest
 
-from pathchroma.chroma import k_colourable
+from pathchroma.chroma import is_proper_colouring, k_colourable
 from pathchroma.model import canonical_label
 from pathchroma.graphs import (
     ColourClassPartition,
@@ -201,4 +201,22 @@ def test_neighbourhood_graph_matches_reference_enumeration(n, t, all_distinct):
 def test_window_graph_refutation_node_counts(n, all_distinct, nodes):
     certificate = k_colourable(neighbourhood_graph(n, 1, all_distinct=all_distinct), 3)
     assert not certificate.satisfiable
+    assert certificate.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "graph_of,k,nodes",
+    [
+        (lambda: neighbourhood_graph(6, 1), 3, 147),
+        (lambda: neighbourhood_graph(7, 1), 4, 207),
+        (lambda: neighbourhood_graph(8, 1), 4, 333),
+        (worst_case_successor_graph, 16, 39),
+    ],
+    ids=["N(6,1)-3", "N(7,1)-4", "N(8,1)-4", "S2*-16"],
+)
+def test_colouring_search_node_counts(graph_of, k, nodes):
+    graph = graph_of()
+    certificate = k_colourable(graph, k)
+    assert certificate.satisfiable
+    assert is_proper_colouring(graph, certificate.assignment)
     assert certificate.nodes == nodes

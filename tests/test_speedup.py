@@ -202,6 +202,25 @@ def test_random_proper_table_gives_up_when_no_table_exists(seed):
         random_proper_table(4, 1, 3, seed, restarts=5)
 
 
+def test_random_proper_table_proves_infeasible_requests():
+    # A(5) is not 3-colourable: the two-round threshold is four colours.
+    with pytest.raises(RuntimeError) as raised:
+        random_proper_table(5, 2, 3, 0)
+    assert str(raised.value) == (
+        "no proper table exists for n=5, t=2, c=3 "
+        "(proved: window graph not 3-colourable, UNSAT in 444 nodes)"
+    )
+
+
+def test_random_proper_table_says_when_feasibility_is_open():
+    # The complete search needs 14 nodes to refute (4, 1, 3), more than 5.
+    with pytest.raises(RuntimeError, match="not found; feasibility not decided"):
+        random_proper_table(4, 1, 3, 0, max_backtracks=5, restarts=3)
+    # Here the complete search finds a table that the one restart missed.
+    with pytest.raises(RuntimeError, match="not found; a table exists .* 108 nodes"):
+        random_proper_table(4, 3, 3, 8, max_backtracks=112, restarts=1)
+
+
 @pytest.mark.parametrize("n,t,c,seed", [(4, 2, 3, 0), (6, 1, 4, 1), (4, 3, 3, 2), (6, 2, 4, 3)])
 def test_random_tables_feed_the_speed_up(n, t, c, seed):
     alg = random_proper_table(n, t, c, seed=seed)
@@ -342,23 +361,24 @@ def test_iterate_flags_improper_source_like_speed_up():
 
 # Digests of random_proper_table's outputs over its windows in enumeration
 # order, for criterion 5's grid with table i at seed i.  They pin the
-# window order, the overlap graph and the sampler's random stream.  Seeds
+# window order, the overlap graph and the sampler's random stream, which
+# draws among tied vertices in ascending index order (not a set's).  Seeds
 # 14 and 15, (7,3,4) and (8,3,4), are left out for their run time.
 _TABLE_DIGESTS = [
     (3, 1, 3, 0, "acc1f91097c18ba2"),
     (3, 2, 3, 1, "323aea032523c7c5"),
     (3, 3, 3, 2, "29fe815951d55e0e"),
-    (4, 2, 3, 3, "cdc31adc6cbea09d"),
+    (4, 2, 3, 3, "7cfcbb859c6bc068"),
     (4, 3, 3, 4, "3571913ce2269cf7"),
     (4, 1, 4, 5, "f2587b94b15cd37d"),
     (5, 1, 4, 6, "1c9179e8799c2bac"),
     (6, 1, 4, 7, "1fadc94975463e7b"),
     (5, 2, 4, 8, "31b9ef6f643d8dbf"),
     (6, 2, 4, 9, "59e9c6341bb35508"),
-    (7, 2, 4, 10, "44b5fbb1e5522cb6"),
-    (8, 2, 4, 11, "1248c5b682d97f4d"),
+    (7, 2, 4, 10, "81e630f2b7b5ddb0"),
+    (8, 2, 4, 11, "99df07313c57df3d"),
     (5, 3, 4, 12, "540d96ac3ecaf5bc"),
-    (6, 3, 4, 13, "dd6c856e7f3f2265"),
+    (6, 3, 4, 13, "965c279f15686e31"),
 ]
 
 

@@ -23,22 +23,85 @@ makes a seed fix the search on any interpreter, whatever order its sets
 iterate in.  The fresh-colour cap is left out: a sampler needs no
 symmetry breaking, and the cap would change the random stream that sampled
 tables come from.
+
+The graph type, :class:`UGraph`, lives here with the search.  Every layer
+above builds graphs to colour: ``speedup`` its window graphs and successor
+graphs, ``graphs`` N(n,1), S2* and DIMACS text.  Defining the type below
+them all lets each of those import it without a cycle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
 
 from .errors import BudgetExceeded
+from .model import canonical_label
 
 if TYPE_CHECKING:
     import random
 
-    from .graphs import UGraph
-
 DEFAULT_NODE_LIMIT = 20_000_000
+
+
+@dataclass(frozen=True)
+class UGraph:
+    """Undirected simple graph with hashable vertex labels.
+
+    Edges are stored as index pairs (i < j) into ``labels``; loops and
+    duplicate labels are rejected at construction.
+    """
+
+    labels: tuple[Hashable, ...]
+    edges: frozenset[tuple[int, int]]
+
+    def __post_init__(self) -> None:
+        if len(set(self.labels)) != len(self.labels):
+            raise ValueError("duplicate vertex labels")
+        n = len(self.labels)
+        for i, j in self.edges:
+            if not (0 <= i < j < n):
+                raise ValueError(f"bad edge ({i}, {j})")
+
+    @classmethod
+    def from_label_edges(
+        cls, labels: Iterable[Hashable], label_edges: Iterable[tuple[Hashable, Hashable]]
+    ) -> "UGraph":
+        labels = tuple(labels)
+        index = {lab: i for i, lab in enumerate(labels)}
+        edges = set()
+        for a, b in label_edges:
+            i, j = index[a], index[b]
+            if i == j:
+                raise ValueError(f"loop at {canonical_label(a)}")
+            edges.add((min(i, j), max(i, j)))
+        return cls(labels, frozenset(edges))
+
+    @property
+    def vertex_count(self) -> int:
+        return len(self.labels)
+
+    @property
+    def edge_count(self) -> int:
+        return len(self.edges)
+
+    def adjacency(self) -> list[list[int]]:
+        adj: list[list[int]] = [[] for _ in self.labels]
+        for i, j in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        return adj
+
+    def label_edges(self) -> frozenset[frozenset]:
+        return frozenset(frozenset({self.labels[i], self.labels[j]}) for i, j in self.edges)
+
+    def is_subgraph_of(self, other: "UGraph") -> bool:
+        """Label-respecting subgraph test: vertices and edges both contained."""
+        theirs = set(other.labels)
+        if not set(self.labels) <= theirs:
+            return False
+        return self.label_edges() <= other.label_edges()
 
 
 @dataclass(frozen=True)
@@ -61,18 +124,18 @@ class ColouringCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _greedy_clique(adj: list[set[int]], degrees: list[int]) -> list[int]:
-    order = sorted(range(len(adj)), key=lambda v: (-degrees[v], v))
+def _greedy_clique(adj: list[Sequence[int]]) -> list[int]:
+    neighbours = [set(a) for a in adj]
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
     clique: list[int] = []
     for v in order:
-        if all(u in adj[v] for u in clique):
+        if all(u in neighbours[v] for u in clique):
             clique.append(v)
     return clique
 
 
 def _dsatur(
     adj: list[Sequence[int]],
-    degrees: list[int],
     k: int,
     precolouring: dict[int, int] | None = None,
     *,
@@ -82,14 +145,14 @@ def _dsatur(
 ) -> tuple[list[int] | None, int]:
     """Search for a proper colouring in [k] (see the module docstring).
 
-    ``degrees[v]`` is ``len(adj[v])``.  ``precolouring`` fixes the colours of
-    some vertices before the search.
+    ``precolouring`` fixes the colours of some vertices before the search.
     Returns (colour per vertex, search nodes), with None for the colouring
     once the search is exhausted or has backtracked more than
     ``max_backtracks`` times.  Raises :class:`BudgetExceeded` past
     ``node_limit`` nodes.
     """
     n = len(adj)
+    degrees = [len(a) for a in adj]
     colour = [0] * n
     forbidden = [0] * n
     max_used = 0
@@ -178,8 +241,7 @@ def _dsatur(
 
 def greedy_colouring(graph: UGraph) -> tuple[dict, int]:
     """Saturation-first greedy colouring; returns (assignment, colours used)."""
-    adj = graph.adjacency()
-    colour, _ = _dsatur(adj, [len(a) for a in adj], graph.vertex_count)
+    colour, _ = _dsatur(graph.adjacency(), graph.vertex_count)
     return dict(zip(graph.labels, colour)), max(colour, default=0)
 
 
@@ -202,12 +264,11 @@ def k_colourable(
         raise ValueError("k must be positive")
     node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
     adj = graph.adjacency()
-    degrees = [len(a) for a in adj]
     # Precolouring a clique is sound up to permuting colours; if the clique
     # is larger than k the leftover members simply have empty domains.
-    clique = _greedy_clique([set(a) for a in adj], degrees)
+    clique = _greedy_clique(adj)
     precolouring = {v: i for i, v in enumerate(clique[:k], start=1)}
-    colour, nodes = _dsatur(adj, degrees, k, precolouring, node_limit=node_limit)
+    colour, nodes = _dsatur(adj, k, precolouring, node_limit=node_limit)
     if colour is None:
         return ColouringCertificate(k, False, None, nodes)
     assignment = dict(zip(graph.labels, colour))
@@ -219,9 +280,7 @@ def chromatic_number(graph: UGraph, *, node_limit: int | None = None) -> int:
     """Least k admitting a proper colouring, bracketed by clique and greedy bounds."""
     if graph.vertex_count == 0:
         return 0
-    adj = [set(a) for a in graph.adjacency()]
-    degrees = [len(a) for a in adj]
-    lower = max(1, len(_greedy_clique(adj, degrees)))
+    lower = max(1, len(_greedy_clique(graph.adjacency())))
     _, upper = greedy_colouring(graph)
     for k in range(lower, upper):
         if k_colourable(graph, k, node_limit=node_limit).satisfiable:

@@ -38,7 +38,6 @@ from .speedup import (
     search_one_round_map,
 )
 from .graphs import (
-    _successor_graph,
     explicit_sixteen_classes,
     from_dimacs,
     neighbourhood_graph,
@@ -261,7 +260,7 @@ def _claim_lemma6(budget: int):
     fast = tower_levels.compose_colouring(partition.as_colouring(), 2)
     proper = exhaustive_properness_check(fast, budget=budget)
     star = worst_case_successor_graph()
-    embeds = _successor_graph(tower_levels, 2).is_subgraph_of(star)
+    embeds = tower_levels.successor_graph(2).is_subgraph_of(star)
     ok = proper and fast.rounds == 2 and fast.out_palette.size == 16 and embeds
     return ok, "2-round 16-colouring verified on all 7-colour windows; S2 embeds in the worst case"
 

@@ -7,84 +7,24 @@ containments with equality twice (δ_R, the saturated speed-up, is the
 arc-graph right adjoint); any concrete algorithm's second-level successor
 graph embeds into it, and its explicit 16-class partition turns a
 3-colouring algorithm into a 16-colouring one two rounds faster.
+
+The graphs are :class:`UGraph` values, the type defined in ``chroma`` with
+the search that colours them and imported here.  ``speedup`` builds window
+and successor graphs of that type too, and it sits below this module, so
+the type cannot live here.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping
+from typing import Hashable, Mapping
 
+from .chroma import UGraph, is_proper_colouring
 from .model import ReductionAlgorithm, canonical_label, window_graph
-from .speedup import SpeedUpTower, iterate_speed_up
+from .speedup import iterate_speed_up
 
 F = frozenset
-
-
-@dataclass(frozen=True)
-class UGraph:
-    """Undirected simple graph with hashable vertex labels.
-
-    Edges are stored as index pairs (i < j) into ``labels``; loops and
-    duplicate labels are rejected at construction.
-    """
-
-    labels: tuple[Hashable, ...]
-    edges: frozenset[tuple[int, int]]
-
-    def __post_init__(self) -> None:
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("duplicate vertex labels")
-        n = len(self.labels)
-        for i, j in self.edges:
-            if not (0 <= i < j < n):
-                raise ValueError(f"bad edge ({i}, {j})")
-
-    @classmethod
-    def from_label_edges(
-        cls, labels: Iterable[Hashable], label_edges: Iterable[tuple[Hashable, Hashable]]
-    ) -> "UGraph":
-        labels = tuple(labels)
-        index = {lab: i for i, lab in enumerate(labels)}
-        edges = set()
-        for a, b in label_edges:
-            i, j = index[a], index[b]
-            if i == j:
-                raise ValueError(f"loop at {canonical_label(a)}")
-            edges.add((min(i, j), max(i, j)))
-        return cls(labels, frozenset(edges))
-
-    @property
-    def vertex_count(self) -> int:
-        return len(self.labels)
-
-    @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.labels]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
-
-    def degrees(self) -> list[int]:
-        deg = [0] * len(self.labels)
-        for i, j in self.edges:
-            deg[i] += 1
-            deg[j] += 1
-        return deg
-
-    def label_edges(self) -> frozenset[frozenset]:
-        return frozenset(F({self.labels[i], self.labels[j]}) for i, j in self.edges)
-
-    def is_subgraph_of(self, other: "UGraph") -> bool:
-        """Label-respecting subgraph test: vertices and edges both contained."""
-        theirs = set(other.labels)
-        if not set(self.labels) <= theirs:
-            return False
-        return self.label_edges() <= other.label_edges()
 
 
 def neighbourhood_graph(n: int, t: int = 1, *, all_distinct: bool = True) -> UGraph:
@@ -137,13 +77,7 @@ def successor_graph_of(
 ) -> UGraph:
     """Successor graph of the k-th speed-up iterate: realized colours as
     vertices, symmetrised empirical successor pairs as edges."""
-    return _successor_graph(iterate_speed_up(alg, k, budget=budget), k)
-
-
-def _successor_graph(tower: SpeedUpTower, k: int) -> UGraph:
-    """The successor graph of level k of a tower already built."""
-    vertices = sorted(tower.colours(k), key=canonical_label)
-    return UGraph.from_label_edges(vertices, tower.successor_relation(k).pairs)
+    return iterate_speed_up(alg, k, budget=budget).successor_graph(k)
 
 
 @dataclass(frozen=True)
@@ -192,20 +126,12 @@ def explicit_sixteen_classes() -> ColourClassPartition:
 def verify_partition(graph: UGraph, partition: ColourClassPartition) -> bool:
     """True iff the classes cover every vertex exactly once and each class
     is an independent set of the graph."""
-    seen: list = []
-    for _, members in partition.classes:
-        seen.extend(members)
+    seen = [v for _, members in partition.classes for v in members]
     if len(seen) != len(set(seen)):
         return False
     if set(seen) != set(graph.labels):
         return False
-    index = {lab: i for i, lab in enumerate(graph.labels)}
-    for _, members in partition.classes:
-        ids = sorted(index[v] for v in members)
-        for a, b in itertools.combinations(ids, 2):
-            if (a, b) in graph.edges:
-                return False
-    return True
+    return is_proper_colouring(graph, partition.as_colouring())
 
 
 def to_dimacs(graph: UGraph) -> str:

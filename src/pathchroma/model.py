@@ -13,6 +13,7 @@ centre.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from dataclasses import dataclass
@@ -38,6 +39,7 @@ _EXACT_TOWER_HEIGHT = 5
 _TOWERS = [1, 2, 4, 16, 65536, 2**65536]
 
 
+@functools.total_ordering
 @dataclass(frozen=True, eq=False)
 class TowerValue:
     """A number of the form tower(height) + offset.
@@ -87,18 +89,6 @@ class TowerValue:
     def __lt__(self, other):
         c = self._cmp(other)
         return c < 0 if c is not NotImplemented else NotImplemented
-
-    def __le__(self, other):
-        c = self._cmp(other)
-        return c <= 0 if c is not NotImplemented else NotImplemented
-
-    def __gt__(self, other):
-        c = self._cmp(other)
-        return c > 0 if c is not NotImplemented else NotImplemented
-
-    def __ge__(self, other):
-        c = self._cmp(other)
-        return c >= 0 if c is not NotImplemented else NotImplemented
 
     def __str__(self) -> str:
         return f"pt:{self.height}+{self.offset}" if self.offset else f"pt:{self.height}"
@@ -393,6 +383,15 @@ def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None =
     return True
 
 
+def _random_walk(rng: random.Random, n: int, length: int) -> list[int]:
+    """``length`` colours in [n], each uniform over those unlike the one before."""
+    walk = [rng.randint(1, n)]
+    for _ in range(length - 1):
+        x = rng.randint(1, n - 1)
+        walk.append(x if x < walk[-1] else x + 1)
+    return walk
+
+
 def sampled_properness_check(
     alg: ReductionAlgorithm, *, samples: int = 10**6, seed: int = 0
 ) -> bool:
@@ -405,11 +404,7 @@ def sampled_properness_check(
     rule = alg.rule
     rng = random.Random(seed)
     for _ in range(samples):
-        seq = [rng.randint(1, n)]
-        for _ in range(wl):
-            x = rng.randint(1, n - 1)
-            seq.append(x if x < seq[-1] else x + 1)
-        window = tuple(seq)
+        window = tuple(_random_walk(rng, n, wl + 1))
         a = rule(window[:wl])
         b = rule(window[1:])
         if a == b or not (1 <= a <= c) or not (1 <= b <= c):
@@ -547,10 +542,7 @@ def random_proper_instance(
     if topology == CYCLE and n == 2 and length % 2 == 1:
         raise ValueError("odd cycles admit no proper 2-colouring")
     rng = random.Random(seed)
-    labels = [rng.randint(1, n)]
-    for _ in range(length - 1):
-        x = rng.randint(1, n - 1)
-        labels.append(x if x < labels[-1] else x + 1)
+    labels = _random_walk(rng, n, length)
     if topology == CYCLE:
         while labels[-1] == labels[0] or labels[-1] == labels[-2]:
             labels[-1] = rng.randint(1, n)

@@ -185,29 +185,21 @@ def cv_algorithm(k: int) -> ReductionAlgorithm:
 
 def four_to_three() -> ReductionAlgorithm:
     """Two-round reduction from 4 to 3 colours: drop colour 4, else keep the middle."""
-
-    def rule(window: ColourWindow) -> int:
-        u, v, w = window
-        return min({1, 2, 3} - {u, w}) if v == 4 else v
-
-    return ReductionAlgorithm(ONE_SIDED, 2, Palette(4), Palette(3), rule, name="4to3")
+    return shift_reduce(3)
 
 
 def shift_reduce(k: int) -> ReductionAlgorithm:
-    """Two-round reduction from k+1 to k colours (k >= 3); generalises four_to_three."""
+    """Two-round reduction from k+1 to k colours (k >= 3); k = 3 is four_to_three."""
     if k < 3:
         raise ValueError("shift reducer needs k >= 3")
-    if k == 3:
-        return four_to_three()
     universe = frozenset(range(1, k + 1))
 
     def rule(window: ColourWindow) -> int:
         u, v, w = window
         return min(universe - {u, w}) if v == k + 1 else v
 
-    return ReductionAlgorithm(
-        ONE_SIDED, 2, Palette(k + 1), Palette(k), rule, name=f"shift k={k}"
-    )
+    name = "4to3" if k == 3 else f"shift k={k}"
+    return ReductionAlgorithm(ONE_SIDED, 2, Palette(k + 1), Palette(k), rule, name=name)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Hashable, Mapping
 
-from .chroma import _dsatur
+from .chroma import UGraph, _dsatur
 from .errors import BudgetExceeded
 from .model import (
     DEFAULT_BUDGET,
@@ -234,6 +234,11 @@ class SpeedUpTower:
         sem = level.semantic
         return ColourRelation("successor", frozenset((sem[a], sem[b]) for a, b in raw))
 
+    def successor_graph(self, k: int) -> UGraph:
+        """Level k's realized colours as vertices, its successor pairs as edges."""
+        vertices = sorted(self.colours(k), key=canonical_label)
+        return UGraph.from_label_edges(vertices, self.successor_relation(k).pairs)
+
     def output_relation(self, k: int) -> ColourRelation:
         """All (colour at level k, colour at level k+1) pairs of one node.
 
@@ -386,20 +391,15 @@ def random_proper_table(
     - every restart fails without that proof: RuntimeError "... not found",
       saying whether the complete search decided feasibility.
     """
-    windows, edges = window_graph(n, t + 1)
-    neighbours: list[list[int]] = [[] for _ in windows]
-    for i, j in edges:
-        neighbours[i].append(j)
-        neighbours[j].append(i)
-    adjacency = [tuple(sorted(s)) for s in neighbours]
-    degree = [len(a) for a in adjacency]
+    graph = UGraph(*window_graph(n, t + 1))
+    adjacency = graph.adjacency()
 
     rng = random.Random(seed)
     feasibility = "feasibility not decided"
     for restart in range(restarts):
-        assignment = _random_dsatur(adjacency, degree, c, rng, max_backtracks=max_backtracks)
+        assignment = _random_dsatur(adjacency, c, rng, max_backtracks=max_backtracks)
         if assignment is not None:
-            table = {w: assignment[i] for i, w in enumerate(windows)}
+            table = dict(zip(graph.labels, assignment))
             return ReductionAlgorithm(
                 ONE_SIDED,
                 t,
@@ -412,7 +412,7 @@ def random_proper_table(
             # No RNG, so the random stream is untouched; and not through
             # _random_dsatur, whose calls are the restarts.
             try:
-                colouring, nodes = _dsatur(adjacency, degree, c, node_limit=max_backtracks)
+                colouring, nodes = _dsatur(adjacency, c, node_limit=max_backtracks)
             except BudgetExceeded:
                 continue
             if colouring is None:
@@ -428,5 +428,5 @@ def random_proper_table(
 
 
 # Wrapped by perfbench/run.py::count_sampler_attempts; one call per restart, colouring or None.
-def _random_dsatur(adjacency, degree, c, rng, *, max_backtracks):
-    return _dsatur(adjacency, degree, c, rng=rng, max_backtracks=max_backtracks)[0]
+def _random_dsatur(adjacency, c, rng, *, max_backtracks):
+    return _dsatur(adjacency, c, rng=rng, max_backtracks=max_backtracks)[0]

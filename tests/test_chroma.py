@@ -203,10 +203,11 @@ def test_rejects_bad_k():
 
 
 def _scan_dsatur(
-    adj, degrees, k, precolouring=None, *, rng=None, node_limit=math.inf, max_backtracks=math.inf
+    adj, k, precolouring=None, *, rng=None, node_limit=math.inf, max_backtracks=math.inf
 ):
     """DSATUR that rescans every uncoloured vertex per pick; ties in ascending order."""
     n = len(adj)
+    degrees = [len(a) for a in adj]
     colour = [0] * n
     forbidden = [0] * n
     uncoloured = set(range(n))
@@ -268,12 +269,11 @@ def _scan_dsatur(
 
 def _both_kernels(adj, k, precolouring=None, seed=None, **limits):
     """Run the kernel and the scan on one input; return each outcome and RNG state."""
-    degrees = [len(a) for a in adj]
     outcomes = []
     for kernel in (_dsatur, _scan_dsatur):
         rng = None if seed is None else random.Random(seed)
         try:
-            result = kernel(adj, degrees, k, precolouring, rng=rng, **limits)
+            result = kernel(adj, k, precolouring, rng=rng, **limits)
         except BudgetExceeded as error:
             result = str(error)
         outcomes.append((result, rng and rng.getstate()))
@@ -283,7 +283,7 @@ def _both_kernels(adj, k, precolouring=None, seed=None, **limits):
 def _search_input(graph, k):
     """Adjacency and the precoloured clique that k_colourable hands the kernel."""
     adj = graph.adjacency()
-    clique = _greedy_clique([set(a) for a in adj], [len(a) for a in adj])
+    clique = _greedy_clique(adj)
     return adj, {v: i for i, v in enumerate(clique[:k], start=1)}
 
 

@@ -18,7 +18,7 @@ from pathchroma.graphs import (
     worst_case_successor_graph,
 )
 from pathchroma.reduce import compose, four_to_three, ns_schedule
-from pathchroma.speedup import random_proper_table
+from pathchroma.speedup import iterate_speed_up, random_proper_table
 
 F = frozenset
 
@@ -33,7 +33,7 @@ def test_ugraph_basics():
     assert g.label_edges() == {F("ab"), F("bc"), F("ac")}
     path = UGraph.from_label_edges("abc", [("a", "b"), ("b", "c")])
     assert F("ab") in path.label_edges() and F("ac") not in path.label_edges()
-    assert sorted(g.degrees()) == [2, 2, 2]
+    assert sorted(len(a) for a in g.adjacency()) == [2, 2, 2]
     with pytest.raises(ValueError):
         UGraph.from_label_edges("ab", [("a", "a")])
     with pytest.raises(ValueError):
@@ -51,7 +51,7 @@ def test_neighbourhood_graph_counts():
         if u[1:] == v[:-1] or v[1:] == u[:-1]
     )
     assert shifts == 1050
-    assert all(d == 10 for d in g.degrees())
+    assert all(len(a) == 10 for a in g.adjacency())
 
 
 def test_neighbourhood_graph_three_colours():
@@ -124,9 +124,46 @@ def test_verify_partition_edge_cases():
     assert not verify_partition(edgeless, dup)
 
 
+def test_verify_partition_rejects_an_edge_inside_a_class():
+    # an exact cover of S2* whose one moved vertex now shares a class with a neighbour
+    star = worst_case_successor_graph()
+    i, j = min(star.edges)
+    moved, neighbour = star.labels[i], star.labels[j]
+    classes = tuple(
+        (name, members - {moved} | ({moved} if neighbour in members else set()))
+        for name, members in explicit_sixteen_classes().classes
+    )
+    assert not verify_partition(star, ColourClassPartition(classes))
+
+
 def test_successor_graph_of_four_to_three():
     g = successor_graph_of(four_to_three(), 0)
     assert set(g.labels) <= {1, 2, 3}
+
+
+# sha256[:16] of to_dimacs(successor_graph_of(compose(ns_schedule(n)), k)):
+# levels 0 and 1 are one graph for every n here, level 2 is not.
+_SUCCESSOR_DIGESTS = {
+    0: dict.fromkeys(range(4, 9), "4fec5c46ae44c8d5"),
+    1: dict.fromkeys(range(4, 9), "e2d88376f2fbc7ae"),
+    2: {
+        4: "c826a686849bcaca",
+        5: "708b3faa4dc34460",
+        6: "93d0b76998e9f7fc",
+        7: "bf5829fd70859426",
+        8: "91c4e8e2aa317279",
+    },
+}
+
+
+@pytest.mark.parametrize("n", range(4, 9))
+def test_successor_graphs_are_pinned(n):
+    alg = compose(ns_schedule(n))
+    tower = iterate_speed_up(alg, 2)
+    for k, digests in _SUCCESSOR_DIGESTS.items():
+        text = to_dimacs(successor_graph_of(alg, k))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == digests[n]
+        assert to_dimacs(tower.successor_graph(k)) == text
 
 
 def test_successor_graph_embeds_in_worst_case():

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import pytest
@@ -88,6 +89,11 @@ def test_tower_value_comparisons():
     assert TowerValue(6) > 2**65536
     assert TowerValue(5, 1) < TowerValue(6)
     assert TowerValue(6, 2) > TowerValue(6, 1)
+    assert 65536 <= TowerValue(4) and 10**9 < TowerValue(6)  # reflected
+    assert TowerValue(6) >= TowerValue(5, 1)
+    assert 3 in Palette(TowerValue(6))
+    with pytest.raises(TypeError):
+        TowerValue(6) < "x"
     assert log_star(TowerValue(5)) == 5
     assert log_star(TowerValue(5, 1)) == 6
 
@@ -287,6 +293,20 @@ def test_random_proper_instance():
     with pytest.raises(ValueError):
         random_proper_instance(2, 5, seed=0, topology=CYCLE)
     assert is_proper(random_proper_instance(2, 6, seed=0, topology=CYCLE))
+
+
+@pytest.mark.parametrize(
+    "n,length,seed,topology,digest",
+    [
+        (98304, 10**5, 1, CYCLE, "e78299c439fe818a"),
+        (5, 1000, 0, PATH, "c8e27a9d8e02474c"),
+        (3, 999, 3, CYCLE, "ee9a5ab2ce92ccc1"),
+    ],
+)
+def test_random_proper_instance_is_pinned(n, length, seed, topology, digest):
+    # pins the random stream, so seeded instances stay the same labels
+    labels = random_proper_instance(n, length, seed, topology).labels
+    assert hashlib.sha256(" ".join(map(str, labels)).encode()).hexdigest()[:16] == digest
 
 
 def test_instance_text_round_trip():

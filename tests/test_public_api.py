@@ -1,3 +1,4 @@
+import ast
 import re
 import shlex
 from pathlib import Path
@@ -6,6 +7,9 @@ import pathchroma
 from pathchroma.cli import main
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(pathchroma.__file__).resolve().parent
+# Each module may import only modules to its left.
+LAYERS = ("errors", "model", "reduce", "chroma", "speedup", "graphs", "cli")
 
 
 def test_readme_tour_runs_and_all_names_resolve():
@@ -35,3 +39,17 @@ def test_readme_command_lines_run(tmp_path, monkeypatch, capsys):
         out = capsys.readouterr().out
         if argv[1:] == ["repro-paper"]:
             assert sum(row.startswith("PASS ") for row in out.splitlines()) == 7
+
+
+def test_module_layering():
+    # Reads every relative import, those under TYPE_CHECKING or inside a
+    # function too, so no import cycle can come back unseen.
+    assert {p.stem for p in PACKAGE.glob("*.py")} == {"__init__", *LAYERS}
+    upward = []
+    for rank, module in enumerate(LAYERS):
+        tree = ast.parse((PACKAGE / f"{module}.py").read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                upward += [(module, t) for t in targets if LAYERS.index(t) >= rank]
+    assert upward == []

@@ -258,7 +258,8 @@ def _virtual_run(end: int, count: int) -> list[int]:
 class _WindowTable(dict):
     """Window -> output table of one rule, filled as windows first appear.
 
-    Shared by ``run_algorithm`` and ``speed_up``; a raising rule adds no entry.
+    Shared by ``run_algorithm``, ``speed_up`` and the speed-up tower's
+    stage-wise level 0; a raising rule adds no entry.
     """
 
     __slots__ = ("rule",)
@@ -384,11 +385,26 @@ def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None =
 
 
 def _random_walk(rng: random.Random, n: int, length: int) -> list[int]:
-    """``length`` colours in [n], each uniform over those unlike the one before."""
-    walk = [rng.randint(1, n)]
+    """``length`` colours in [n], each uniform over those unlike the one before.
+
+    Each step draws what ``rng.randint(1, n - 1)`` would, with the same
+    calls to ``getrandbits`` (CPython's rejection loop), minus its argument
+    handling.
+    """
+    if n < 2 and length > 1:
+        raise ValueError("a walk of two or more colours needs n >= 2")
+    getrandbits = rng.getrandbits
+    m = n - 1
+    k = m.bit_length()
+    prev = rng.randint(1, n)
+    walk = [prev]
     for _ in range(length - 1):
-        x = rng.randint(1, n - 1)
-        walk.append(x if x < walk[-1] else x + 1)
+        r = getrandbits(k)
+        while r >= m:
+            r = getrandbits(k)
+        r += 1
+        prev = r if r < prev else r + 1
+        walk.append(prev)
     return walk
 
 

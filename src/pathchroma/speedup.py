@@ -13,8 +13,11 @@ from __future__ import annotations
 
 import itertools
 import random
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
-from typing import Callable, Hashable, Mapping
+from operator import floordiv, or_
+from typing import Callable, Hashable, Iterator, Sequence
 
 from .chroma import UGraph, _dsatur
 from .errors import BudgetExceeded
@@ -111,20 +114,132 @@ def speed_up(alg: ReductionAlgorithm) -> SpeedUpResult:
     return SpeedUpResult(_faster(alg, fast_rule), lambda rank: decode_family(rank, c))
 
 
-def _speed_up_table(
-    table: Mapping[ColourWindow, int], n: int, wl: int, c: int
-) -> dict[ColourWindow, int]:
+# Window ranks.  With m = n - 1, the window (w1, ..., wL) has the rank whose
+# base-m digits after the leading w1 - 1 are d_i = w_i - 1 - (w_i > w_{i-1}),
+# the position of w_i among the colours unlike w_{i-1}.  That is its index
+# in proper_sequences(n, L), so the prefix w[:-1] of window r has rank r // m
+# and the m windows sharing a prefix are consecutive.
+
+
+def _suffix_ranks(n: int, longest: int) -> dict[int, array]:
+    """For each length L in 2..longest, the rank of w[1:] for every window w of length L.
+
+    Arrays are indexed by the rank of w.  Length 2 is read off the digits;
+    each longer length extends the one before it, as
+    suffix_L[r] = suffix_{L-1}[r // m] * m + r % m.
+    """
+    m = n - 1
+    code = "i" if count_proper_sequences(n, longest) < 1 << 31 else "q"
+    suffixes = {}
+    if longest >= 2:
+        suffix = array(code, (d + (d >= a) for a in range(n) for d in range(m)))
+        suffixes[2] = suffix
+        for length in range(3, longest + 1):
+            blocks = (range(s * m, s * m + m) for s in suffix)
+            suffix = suffixes[length] = array(code, itertools.chain.from_iterable(blocks))
+    return suffixes
+
+
+class _RankTable(Mapping):
+    """Read-only table over the windows of one length, stored by window rank.
+
+    ``values[r]`` is the output on the window of rank r, and ``suffix[r]``
+    (for windows of length 2 or more) the rank of its suffix among the
+    windows one shorter.  Iteration follows ``proper_sequences``; a key that
+    is not a window over [n] of this length raises KeyError.
+    """
+
+    __slots__ = ("n", "length", "values", "suffix")
+
+    def __init__(self, n: int, length: int, values: Sequence, suffix: Sequence | None) -> None:
+        self.n = n
+        self.length = length
+        self.values = values
+        self.suffix = suffix
+
+    def rank(self, window: ColourWindow) -> int:
+        n = self.n
+        if not isinstance(window, tuple) or len(window) != self.length:
+            raise KeyError(window)
+        r = prev = 0
+        for x in window:
+            if type(x) is not int or not 0 < x <= n or x == prev:
+                raise KeyError(window)
+            r = r * (n - 1) + x - 1 - (0 < prev < x)
+            prev = x
+        return r
+
+    def window(self, rank: int) -> ColourWindow:
+        m = self.n - 1
+        digits = []
+        for _ in range(self.length - 1):
+            rank, d = divmod(rank, m)
+            digits.append(d)
+        window = [rank + 1]
+        for d in reversed(digits):
+            window.append(d + 1 + (d + 1 >= window[-1]))
+        return tuple(window)
+
+    def __getitem__(self, window: ColourWindow) -> int:
+        return self.values[self.rank(window)]
+
+    def __iter__(self) -> Iterator[ColourWindow]:
+        return proper_sequences(self.n, self.length)
+
+    def __len__(self) -> int:
+        return len(self.values)
+
+
+def _level_zero(alg: ReductionAlgorithm, n: int, suffixes: Mapping[int, Sequence[int]]) -> list:
+    """``alg``'s output on every window of its length over [n], in rank order.
+
+    A staged (composed) source is evaluated stage by stage: the first stage
+    on its own windows, and each later stage, of t rounds, on the windows t
+    longer, reading the previous stage's outputs at the t + 1 sub-windows
+    through a window table.  The sub-window at offset i of a window of rank
+    r drops i colours in front (i suffix steps) and t - i behind (division
+    by m^(t-i)).  Overlapping windows thus share every stage output instead
+    of recomputing it, as one call of the composed rule per window would.
+    """
+    first, *rest = alg.stages or (alg,)
+    rule = first.rule
+    length = first.window_length
+    values = [rule(w) for w in proper_sequences(n, length)]
+    m = n - 1
+    for stage in rest:
+        t = stage.rounds
+        length += t
+        columns = []
+        for i in range(t + 1):
+            ranks = range(count_proper_sequences(n, length))
+            for j in range(i):
+                ranks = map(suffixes[length - j].__getitem__, ranks)
+            if i < t:
+                ranks = map(floordiv, ranks, itertools.repeat(m ** (t - i)))
+            columns.append(map(values.__getitem__, ranks))
+        values = list(map(_WindowTable(stage.rule).__getitem__, zip(*columns)))
+    return values
+
+
+def _speed_up_table(table: _RankTable, c: int, suffix: Sequence[int] | None) -> _RankTable:
     """The table of the speed-up, from the table of its c-colour source.
 
-    The source's windows have length wl + 1.  Each one adds its colour to
-    the family of its prefix, so one pass over the source table gives
-    every family that the speed-up's rule would collect.
+    Each source window adds its colour to the family of its prefix, and the
+    m = n - 1 windows of one prefix have consecutive ranks, so m strided
+    passes over the source's outputs give every family that the speed-up's
+    rule would collect.  ``suffix`` holds the suffix ranks of the shorter
+    windows.
     """
-    faster = dict.fromkeys(proper_sequences(n, wl), 0)
-    for window, colour in table.items():
-        faster[window[:-1]] |= 1 << (colour - 1)
-    for window, bits in faster.items():
-        _family_bits(window, bits, c)
+    n, values = table.n, table.values
+    bit = {colour: 1 << (colour - 1) for colour in set(values)}
+    families = [0] * count_proper_sequences(n, table.length - 1)
+    for i in range(n - 1):
+        families = list(map(or_, families, map(bit.__getitem__, values[i :: n - 1])))
+    faster = _RankTable(n, table.length - 1, families, suffix)
+    full = (1 << c) - 1
+    if 0 in families or full in families:
+        for rank, bits in enumerate(families):  # raises at the first, in rank order
+            _family_bits(faster.window(rank), bits, c)
     return faster
 
 
@@ -132,8 +247,10 @@ def _speed_up_table(
 class SpeedUpLevel:
     """One algorithm of the tower plus its realized colours.
 
-    ``table`` maps every valid window to the algorithm's encoded output;
-    above level 0 the algorithm's rule is a lookup in that table.
+    ``table`` maps every valid window to the algorithm's encoded output.  It
+    is a read-only mapping that stores its outputs by window rank (the
+    window's index in ``proper_sequences``) and iterates in that order;
+    above level 0 the algorithm's rule is a lookup in it.
     ``semantic`` decodes each realized encoded colour into the nested family
     of base colours it stands for (plain ints at level 0).
     """
@@ -141,7 +258,7 @@ class SpeedUpLevel:
     algorithm: ReductionAlgorithm
     realized: frozenset[int]
     semantic: Mapping[int, Colour]
-    table: Mapping[ColourWindow, int]
+    table: _RankTable
 
     def colours(self) -> frozenset[Colour]:
         return frozenset(self.semantic[r] for r in self.realized)
@@ -210,26 +327,32 @@ class SpeedUpTower:
         A sequence one entry longer than a window is x+v+y around a stem v of
         length wl-1: its first window is x+v and its last v+y.  For a non-empty
         stem every x != v[0] goes with every y != v[-1], so the relation is the
-        union over stems of {T[x+v]} x {T[v+y]}.  An empty stem (wl = 1) couples
-        the two sides through x != y instead.  Each window is read once and
-        its level paid for it; a 0-round level 0 paid for n windows, not for
-        the n(n-1) sequences the empty stem pairs, so those are charged here.
+        union over stems of {T[x+v]} x {T[v+y]}: by rank, the windows x+v are
+        those whose suffix rank is v's, and the windows v+y the m = n - 1
+        consecutive ranks from v's rank times m.  An empty stem (wl = 1)
+        couples the two sides through x != y instead.  Each window is read
+        once and its level paid for it; a 0-round level 0 paid for n windows,
+        not for the n(n-1) sequences the empty stem pairs, so those are
+        charged here.
         """
         level = self._level(k)
-        wl = level.algorithm.window_length
         table = level.table
-        if wl == 1:
-            cost = count_proper_sequences(level.algorithm.in_palette.size, 2)
+        values = table.values
+        if table.length == 1:
+            cost = count_proper_sequences(table.n, 2)
             if cost > self.budget:
                 raise BudgetExceeded(f"{cost} sequences exceed budget {self.budget}")
-            raw = {(a, b) for (x,), a in table.items() for (y,), b in table.items() if x != y}
+            raw = {(a, b) for x, a in enumerate(values) for y, b in enumerate(values) if x != y}
         else:
-            own: dict[ColourWindow, set[int]] = {}  # stem v -> {T[x+v]}
-            successor: dict[ColourWindow, set[int]] = {}  # stem v -> {T[v+y]}
-            for window, colour in table.items():
-                own.setdefault(window[1:], set()).add(colour)
-                successor.setdefault(window[:-1], set()).add(colour)
-            sides = {(frozenset(xs), frozenset(successor[stem])) for stem, xs in own.items()}
+            m = table.n - 1
+            stems = count_proper_sequences(table.n, table.length - 1)
+            own: list[set[int]] = [set() for _ in range(stems)]  # stem v -> {T[x+v]}
+            for stem, colour in zip(table.suffix, values):
+                own[stem].add(colour)
+            sides = {
+                (frozenset(xs), frozenset(values[stem * m : stem * m + m]))
+                for stem, xs in enumerate(own)
+            }
             raw = {(a, b) for xs, ys in sides for a in xs for b in ys}
         sem = level.semantic
         return ColourRelation("successor", frozenset((sem[a], sem[b]) for a, b in raw))
@@ -243,11 +366,11 @@ class SpeedUpTower:
         """All (colour at level k, colour at level k+1) pairs of one node.
 
         Level k+1's window at a node is the suffix of its level-k window, so
-        one pass over level k's table gives both colours.
+        one pass over level k's outputs and suffix ranks gives both colours.
         """
         level, faster = self._level(k), self._level(k + 1)
-        fast = faster.table
-        raw = {(colour, fast[window[1:]]) for window, colour in level.table.items()}
+        fast = faster.table.values
+        raw = set(zip(level.table.values, map(fast.__getitem__, level.table.suffix)))
         sem, fast_sem = level.semantic, faster.semantic
         return ColourRelation("output", frozenset((sem[a], fast_sem[b]) for a, b in raw))
 
@@ -261,10 +384,12 @@ def iterate_speed_up(
 ) -> SpeedUpTower:
     """Apply the speed-up k times, recording realized colours at every level.
 
-    Level 0 evaluates ``alg`` once per window into a table, and each higher
-    level is built from the table below it, so the source rule is never
-    evaluated again.  The budget counts one evaluation per window of every
-    level.
+    Every level's table stores its outputs by window rank.  Level 0 holds
+    ``alg``'s output on every window; a composed source fills it stage by
+    stage (see ``_level_zero``) and is never called per window.  Each
+    higher level is built from the table below it, so the source rule is
+    never evaluated again.  The budget counts one evaluation per window of
+    every level, whatever the stage-wise build saves.
     """
     if k < 0 or k > alg.rounds:
         raise ValueError("can iterate between 0 and rounds(alg) times")
@@ -285,13 +410,14 @@ def iterate_speed_up(
         if spent > budget:
             raise BudgetExceeded(f"{spent} window evaluations exceed budget {budget}")
         if below is None:
-            rule = alg.rule
-            table = {w: rule(w) for w in proper_sequences(n, wl)}
-            realized = frozenset(table.values())
+            suffixes = _suffix_ranks(n, wl)
+            values = _level_zero(alg, n, suffixes)
+            table = _RankTable(n, wl, values, suffixes.get(wl))
+            realized = frozenset(values)
             levels.append(SpeedUpLevel(alg, realized, {r: r for r in realized}, table))
         else:
-            table = _speed_up_table(below.table, n, wl, c)
-            realized = frozenset(table.values())
+            table = _speed_up_table(below.table, c, suffixes.get(wl))
+            realized = frozenset(table.values)
             prev = below.semantic
             semantic = {r: frozenset(prev[x] for x in decode_family(r, c)) for r in realized}
             faster = _faster(below.algorithm, table.__getitem__)

@@ -9,8 +9,6 @@ import itertools
 import time
 from contextlib import contextmanager
 
-import pytest
-
 from pathchroma.model import (
     TowerValue,
     exhaustive_properness_check,

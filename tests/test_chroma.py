@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from pathchroma.errors import BudgetExceeded
 from pathchroma.chroma import (
-    ColouringCertificate,
     _dsatur,
     _greedy_clique,
     chromatic_number,

@@ -176,6 +176,13 @@ def test_successor_graph_embeds_in_worst_case():
         assert successor_graph_of(alg, 2).is_subgraph_of(star)
 
 
+def test_seventeen_colour_schedule_embeds_in_worst_case():
+    # 17 * 16^4 = 1,114,112 level-0 windows, filled stage by stage in about 1 s
+    graph = successor_graph_of(compose(ns_schedule(17)), 2)
+    assert (graph.vertex_count, graph.edge_count) == (14, 66)
+    assert graph.is_subgraph_of(worst_case_successor_graph())
+
+
 def test_dimacs_round_trip():
     g = neighbourhood_graph(3, 1)
     text = to_dimacs(g)

@@ -1,6 +1,6 @@
 import dataclasses
 import hashlib
-import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,11 +11,11 @@ from pathchroma.model import (
     ONE_SIDED,
     PATH,
     TWO_SIDED,
-    BoundsReport,
     Palette,
     PathInstance,
     ReductionAlgorithm,
     TowerValue,
+    _random_walk,
     bounds_report,
     count_proper_sequences,
     exhaustive_properness_check,
@@ -307,6 +307,38 @@ def test_random_proper_instance_is_pinned(n, length, seed, topology, digest):
     # pins the random stream, so seeded instances stay the same labels
     labels = random_proper_instance(n, length, seed, topology).labels
     assert hashlib.sha256(" ".join(map(str, labels)).encode()).hexdigest()[:16] == digest
+
+
+def _randint_instance(n, length, seed, topology):
+    # Reference generator: one randint call per colour.  Also counts the
+    # draws that close a cycle again.
+    rng = random.Random(seed)
+    labels = [rng.randint(1, n)]
+    for _ in range(length - 1):
+        x = rng.randint(1, n - 1)
+        labels.append(x if x < labels[-1] else x + 1)
+    redraws = 0
+    if topology == CYCLE:
+        while labels[-1] == labels[0] or labels[-1] == labels[-2]:
+            labels[-1] = rng.randint(1, n)
+            redraws += 1
+    return tuple(labels), redraws
+
+
+def test_random_walk_draws_what_randint_draws():
+    redraws = 0
+    for n in (2, 3, 4, 5, 17, 65537, 98304):
+        for topology in (CYCLE, PATH):
+            for seed in range(4):
+                length = 200 + seed
+                if topology == CYCLE and n == 2 and length % 2:
+                    continue
+                labels, redrawn = _randint_instance(n, length, seed, topology)
+                assert random_proper_instance(n, length, seed, topology).labels == labels
+                redraws += redrawn
+    assert redraws > 0  # the cycle-closing redraw ran and kept the stream in step
+    with pytest.raises(ValueError):
+        _random_walk(random.Random(0), 1, 2)
 
 
 def test_instance_text_round_trip():

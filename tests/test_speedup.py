@@ -10,15 +10,18 @@ from pathchroma.model import (
     ONE_SIDED,
     Palette,
     ReductionAlgorithm,
+    count_proper_sequences,
     exhaustive_properness_check,
     identity_algorithm,
     proper_sequences,
     two_sided_from_one_sided,
     window_graph,
 )
-from pathchroma.reduce import compose, four_to_three, ns_algorithm, ns_schedule
+from pathchroma.reduce import compose, cv_algorithm, four_to_three, ns_algorithm, ns_schedule
 from pathchroma.speedup import (
     ColourRelation,
+    _RankTable,
+    _suffix_ranks,
     compose_colouring,
     decode_family,
     iterate_speed_up,
@@ -346,6 +349,52 @@ def test_iterate_budget_thresholds_unchanged():
         iterate_speed_up(identity_algorithm(20), 0, budget=379).successor_relation(0)
 
 
+@pytest.mark.parametrize("n,length", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3), (5, 2), (7, 4)])
+def test_rank_table_round_trip(n, length):
+    windows = list(proper_sequences(n, length))
+    suffixes = _suffix_ranks(n, length)
+    table = _RankTable(n, length, [10 * r for r in range(len(windows))], suffixes.get(length))
+    assert list(table) == windows and len(table) == len(windows)
+    shorter = {w: r for r, w in enumerate(proper_sequences(n, length - 1))}
+    for r, w in enumerate(windows):
+        assert table.rank(w) == r and table.window(r) == w and table[w] == 10 * r
+        if length > 1:
+            assert r // (n - 1) == shorter[w[:-1]]
+            assert table.suffix[r] == shorter[w[1:]]
+    assert dict(table) == {w: 10 * r for r, w in enumerate(windows)}
+
+
+def test_rank_table_rejects_what_is_not_a_window():
+    table = _RankTable(4, 3, list(range(count_proper_sequences(4, 3))), None)
+    assert table[(4, 3, 4)] == len(table) - 1
+    wrong = [(1, 2), (1, 2, 3, 4), (1, 1, 2), (1, 2, 2), (0, 1, 2), (1, 2, 5), (1, 2.0, 3), [1, 2, 3]]
+    for key in wrong:
+        with pytest.raises(KeyError):
+            table[key]
+        assert key not in table
+
+
+_LEVEL_ZERO_SOURCES = [
+    *(compose(ns_schedule(n)) for n in range(4, 10)),
+    compose((cv_algorithm(3), *ns_schedule(6).stages)),
+    compose((compose(ns_schedule(7).stages[:2]), compose(ns_schedule(7).stages[2:]))),
+    compose((identity_algorithm(4), four_to_three(), identity_algorithm(3))),
+    four_to_three(),
+    identity_algorithm(5),
+    *(random_proper_table(n, t, c, seed=seed) for n, t, c, seed in [(4, 2, 3, 0), (5, 3, 4, 7)]),
+]
+
+
+@pytest.mark.parametrize("alg", _LEVEL_ZERO_SOURCES, ids=lambda alg: alg.name)
+def test_stage_wise_level_zero_matches_the_rule(alg):
+    # a composed source's level 0 is filled stage by stage, never through
+    # its rule, so the rule on each window is an independent reference
+    table = iterate_speed_up(alg, 0).levels[0].table
+    windows = list(proper_sequences(alg.in_palette.size, alg.window_length))
+    assert list(table) == windows
+    assert [table[w] for w in windows] == [alg.rule(w) for w in windows]
+
+
 def test_iterate_flags_improper_source_like_speed_up():
     bad = ReductionAlgorithm(
         ONE_SIDED, 1, Palette(4), Palette(3), lambda w: (w[1] % 3) + 1, name="bad"
@@ -357,6 +406,17 @@ def test_iterate_flags_improper_source_like_speed_up():
         iterate_speed_up(bad, 1)
     with pytest.raises(ValueError, match="one-sided"):
         iterate_speed_up(two_sided_from_one_sided(four_to_three()), 1)
+    # improper at one prefix only, so the message must name that window;
+    # composed with 0-round stages, it goes through the stage-wise level 0
+    late = ReductionAlgorithm(
+        ONE_SIDED, 2, Palette(4), Palette(3), lambda w: w[2] if w[:2] == (2, 4) else 1
+    )
+    late_message = r"window \(2, 4\) realises every colour"
+    with pytest.raises(ValueError, match=late_message):
+        speed_up(late).algorithm.rule((2, 4))
+    for alg in (late, compose((identity_algorithm(4), late, identity_algorithm(3)))):
+        with pytest.raises(ValueError, match=late_message):
+            iterate_speed_up(alg, 1)
 
 
 # Digests of random_proper_table's outputs over its windows in enumeration

@@ -70,6 +70,8 @@ def parse_algorithm(spec: str) -> ReductionAlgorithm:
             key, _, value = part.partition("=")
             if not value:
                 raise ValueError(f"bad algorithm argument {part!r} in {spec!r}")
+            if key in args:
+                raise ValueError(f"repeated algorithm argument {key!r} in {spec!r}")
             args[key] = value
     try:
         if name == "4to3" and not args:
@@ -92,15 +94,15 @@ def parse_algorithm(spec: str) -> ReductionAlgorithm:
 
 
 def _load_instance(source: str, topology: str):
+    """The instance, and the header line to print with the result ("" for files)."""
     if source.startswith("random:"):
         try:
             n, length, seed = (int(x) for x in source[len("random:") :].split(","))
         except ValueError:
             raise ValueError("random input must look like random:n,length,seed") from None
-        print(f"seed={seed}")
-        return random_proper_instance(n, length, seed, topology=topology)
+        return random_proper_instance(n, length, seed, topology=topology), f"seed={seed}\n"
     with open(source) as handle:
-        return parse_instance(handle.read())
+        return parse_instance(handle.read()), ""
 
 
 def _resolve_budget(value: int | None) -> int:
@@ -114,9 +116,10 @@ def _resolve_budget(value: int | None) -> int:
 
 def cmd_simulate(args) -> int:
     alg = parse_algorithm(args.alg)
-    instance = _load_instance(args.input, args.topology)
+    instance, header = _load_instance(args.input, args.topology)
     result = run_algorithm(alg, instance)
-    sys.stdout.write(format_instance(result))
+    # Nothing is printed before the run succeeds, so a failing run leaves stdout empty.
+    sys.stdout.write(header + format_instance(result))
     print(f"proper={'true' if is_proper(result) else 'false'}")
     print(f"rounds={alg.rounds}")
     return 0

@@ -18,6 +18,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from math import log2
+from operator import eq
 from typing import Callable, Iterator
 
 from .errors import BudgetExceeded
@@ -183,7 +184,8 @@ class PathInstance:
             raise ValueError(f"unknown topology {self.topology!r}")
         if len(self.labels) < 2:
             raise ValueError("an instance needs at least 2 nodes")
-        if any(not isinstance(x, int) or x < 1 for x in self.labels):
+        labels = self.labels
+        if not all(map(isinstance, labels, itertools.repeat(int))) or min(labels) < 1:
             raise ValueError("labels must be positive integers")
 
     def __len__(self) -> int:
@@ -193,7 +195,7 @@ class PathInstance:
 def is_proper(instance: PathInstance) -> bool:
     """True iff all adjacent labels differ, including the wrap-around pair on cycles."""
     labels = instance.labels
-    if any(a == b for a, b in zip(labels, labels[1:])):
+    if any(map(eq, labels, itertools.islice(labels, 1, None))):
         return False
     if instance.topology == CYCLE and labels[-1] == labels[0]:
         return False
@@ -273,6 +275,50 @@ class _WindowTable(dict):
         return value
 
 
+def _byte_stage(seq, rule: Callable[[ColourWindow], int], n: int, wl: int) -> bytes | None:
+    """One table stage over a whole sequence, in C, for n**wl <= 256.
+
+    Window w has the mixed-radix code sum((w[i] - 1) * n**(wl - 1 - i)),
+    below 256, so one byte holds it.  The codes of all windows come from
+    big-integer arithmetic on the shifted sequences: the exact result has
+    code j in byte j, whatever carries the steps make on the way.  A
+    256-byte table filled once over ``proper_sequences`` then turns the
+    codes into outputs with one ``bytes.translate``.
+
+    Returns None where only the window table gives today's outputs and
+    errors: an input colour outside 1..n, a rule that raises or returns
+    anything but an int in 1..255 on some window (present or not), or an
+    input window with two equal adjacent colours (code outside the table,
+    read as 0).
+    """
+    if not isinstance(seq, bytes):
+        try:
+            seq = bytes(seq)
+        except (TypeError, ValueError):  # a colour that is no int in 0..255
+            return None
+    if seq.translate(None, bytes(range(1, n + 1))):  # a colour outside 1..n is left
+        return None
+    table = bytearray(256)
+    for window in proper_sequences(n, wl):
+        try:
+            value = rule(window)
+        except Exception:  # the window table calls the rule again where it is due
+            return None
+        if type(value) is not int or not 0 < value < 256:
+            return None
+        code = 0
+        for x in window:
+            code = code * n + x - 1
+        table[code] = value
+    m = len(seq) - wl + 1
+    ones = int.from_bytes(b"\x01" * m, "big")
+    codes = int.from_bytes(seq[:m], "big") - ones
+    for i in range(1, wl):
+        codes = codes * n + int.from_bytes(seq[i : i + m], "big") - ones
+    out = codes.to_bytes(m, "big").translate(table)
+    return None if 0 in out else out
+
+
 def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstance:
     """Relabel an instance by applying the algorithm's rule at every node.
 
@@ -280,10 +326,13 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     simulated by the virtual-extension rule (prev(x) = 1 unless x = 1, then
     2), applied backwards from the head and mirrored past the tail.  A stage
     with no more valid windows than the instance has nodes is evaluated
-    through a table, once per distinct window; any other stage calls its
-    rule at every node.
+    through a table, once per valid window (``_byte_stage``) when at most
+    256 window codes exist, else once per distinct window; any other stage
+    calls its rule at every node.
     """
-    if any(x not in alg.in_palette for x in instance.labels):
+    labels = instance.labels
+    # PathInstance holds ints >= 1 only, so the largest label decides.
+    if max(labels) > alg.in_palette.size:
         raise ValueError("instance labels do not lie in the algorithm's input palette")
     if not is_proper(instance):
         raise ValueError("input instance is not properly coloured")
@@ -291,10 +340,10 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     t = alg.rounds
     before = t
     after = t if alg.sidedness == TWO_SIDED else 0
-    labels = instance.labels
     length = len(labels)
     if instance.topology == CYCLE:
-        seq = [labels[(i - before) % length] for i in range(length + before + after)]
+        ring = labels * -(-max(before, after) // length)  # enough turns for either reach
+        seq = ring[len(ring) - before :] + labels + ring[:after]
     else:
         seq = _virtual_run(labels[0], before)[::-1] + list(labels) + _virtual_run(labels[-1], after)
 
@@ -303,6 +352,10 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
         rule = stage.rule
         n = stage.in_palette.size
         if isinstance(n, int) and count_proper_sequences(n, wl) <= length:
+            out = _byte_stage(seq, rule, n, wl) if n**wl <= 256 else None
+            if out is not None:
+                seq = out
+                continue
             rule = _WindowTable(rule).__getitem__
         seq = list(map(rule, zip(*(seq[i:] for i in range(wl)))))
     assert len(seq) == length

@@ -37,18 +37,23 @@ def colex_unrank(rank: int, k: int, m: int) -> frozenset[int]:
 
 
 def _colex_unrank_mask(rank: int, k: int, m: int) -> int:
-    # The one unranker: bit i-1 of the mask stands for element i.
+    # The one unranker: bit i-1 of the mask stands for element i.  One
+    # comb call; every later binomial is a ratio step from the one before,
+    # which keeps a 65k-bit palette's unrank at O(m) big-number steps.
     r = rank - 1
     mask = 0
-    hi = m
+    a = m
+    c = comb(m - 1, k)  # C(a-1, i) throughout
     for i in range(k, 0, -1):
-        # largest a <= hi with C(a-1, i) <= r
-        a = hi
-        while comb(a - 1, i) > r:
+        # largest a with C(a-1, i) <= r
+        while c > r:
+            c = c * (a - 1 - i) // (a - 1)  # C(a-2, i)
             a -= 1
-        r -= comb(a - 1, i)
+        r -= c
         mask |= 1 << (a - 1)
-        hi = a - 1
+        if i > 1:
+            c = c * i // (a - 1)  # C(a-2, i-1), the next element's start
+        a -= 1
     return mask
 
 

@@ -26,7 +26,7 @@ def test_parse_algorithm_specs():
     assert parse_algorithm("shift:k=4").rounds == 2
     assert parse_algorithm("identity:n=5").rounds == 0
     assert parse_algorithm("schedule:n=17").rounds == 4
-    for bad in ("nope", "ns:k", "4to3:x=1", "ns:j=3"):
+    for bad in ("nope", "ns:k", "4to3:x=1", "ns:j=3", "ns:k=3,k=4", "ns:n=7,k=3,n=6"):
         with pytest.raises(ValueError):
             parse_algorithm(bad)
 
@@ -76,6 +76,25 @@ def test_simulate_rejects_too_many_colours_for_k_before_output(capsys):
     assert code == 2
     assert out == ""
     assert "n=60016 exceeds C(10,5)" in err
+
+
+@pytest.mark.parametrize("source", ["random:5,10,1", "random:5,1,1"])
+def test_simulate_failure_prints_nothing_on_stdout(capsys, source):
+    # 5 colours do not fit 4to3's palette; 1 node is no instance
+    code, out, err = run(capsys, "simulate", "--alg", "4to3", "--input", source)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+
+
+def test_simulate_tower_sized_palette_finishes(capsys):
+    # The first stage codes 2^65536 colours as k-subsets with k = 32773.
+    code, out, _ = run(
+        capsys, "simulate", "--alg", "schedule:n=pt:5", "--input", "random:5,10,1"
+    )
+    assert code == 0
+    assert out.splitlines()[0] == "seed=1"
+    assert "proper=true" in out
 
 
 def test_usage_error_exit_code(capsys):

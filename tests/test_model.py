@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import pathchroma.model as model
 from pathchroma.errors import BudgetExceeded
 from pathchroma.model import (
     CYCLE,
@@ -32,7 +33,14 @@ from pathchroma.model import (
     tower,
     two_sided_from_one_sided,
 )
-from pathchroma.reduce import compose, cv_algorithm, ns_schedule, shift_reduce
+from pathchroma.reduce import (
+    compose,
+    cv_algorithm,
+    four_to_three,
+    ns_algorithm,
+    ns_schedule,
+    shift_reduce,
+)
 
 
 def test_log_star_small_values():
@@ -361,18 +369,27 @@ def test_palette_membership():
 
 
 def _reference_run(alg, instance):
-    # Evaluate the (composed) rule once per node on the node's own window,
-    # extending paths backwards by prev(x) = 1 unless x = 1, then 2.
+    # Evaluate the (composed) rule once per node on the node's own window:
+    # t entries before the node, and t after it for two-sided rules.  Paths
+    # extend by prev(x) = 1 unless x = 1, then 2, backwards from the head
+    # and forwards from the tail.
     t = alg.rounds
+    after = t if alg.sidedness == TWO_SIDED else 0
     labels = list(instance.labels)
     if instance.topology == CYCLE:
-        seq = [labels[(i - t) % len(labels)] for i in range(len(labels) + t)]
+        seq = [labels[(i - t) % len(labels)] for i in range(len(labels) + t + after)]
     else:
-        prefix = [labels[0]]
-        for _ in range(t):
-            prefix.append(1 if prefix[-1] != 1 else 2)
-        seq = prefix[:0:-1] + labels
-    return tuple(alg.rule(tuple(seq[i : i + t + 1])) for i in range(len(labels)))
+
+        def extension(x, count):
+            out = []
+            for _ in range(count):
+                x = 1 if x != 1 else 2
+                out.append(x)
+            return out
+
+        seq = extension(labels[0], t)[::-1] + labels + extension(labels[-1], after)
+    wl = alg.window_length
+    return tuple(alg.rule(tuple(seq[i : i + wl])) for i in range(len(labels)))
 
 
 def _counting(stage, calls):
@@ -383,11 +400,41 @@ def _counting(stage, calls):
     return dataclasses.replace(stage, rule=rule)
 
 
+def _chain(stages):
+    # compose() takes one-sided pipelines only; a single stage runs as itself.
+    return stages[0] if len(stages) == 1 else compose(stages)
+
+
+def _late_four_to_three():
+    # A 3-round stage on 4 colours: 4**4 = 256 window codes, the most a
+    # byte-coded table holds.
+    rule = four_to_three().rule
+    return ReductionAlgorithm(
+        ONE_SIDED, 3, Palette(4), Palette(3), lambda w: rule(w[1:]), name="late 4to3"
+    )
+
+
 @pytest.mark.parametrize("topology", [CYCLE, PATH])
 @pytest.mark.parametrize(
     "stages",
-    [ns_schedule(17).stages, (shift_reduce(5),), (cv_algorithm(4),)],
-    ids=["ns_schedule(17)", "shift_reduce(5)", "cv_algorithm(4)"],
+    [
+        ns_schedule(17).stages,
+        (shift_reduce(5),),
+        (cv_algorithm(4),),
+        (shift_reduce(3),),
+        (ns_algorithm(6, 2),),
+        (two_sided_from_one_sided(four_to_three()),),
+        (_late_four_to_three(),),
+    ],
+    ids=[
+        "ns_schedule(17)",
+        "shift_reduce(5)",
+        "cv_algorithm(4)",
+        "shift_reduce(3)",
+        "ns_algorithm(6,2)",
+        "two-sided 4to3",
+        "late 4to3",
+    ],
 )
 def test_table_and_closure_paths_agree(stages, topology):
     windows = [count_proper_sequences(s.in_palette.size, s.window_length) for s in stages]
@@ -398,8 +445,8 @@ def test_table_and_closure_paths_agree(stages, topology):
         for seed in range(3):
             instance = random_proper_instance(n, length, seed=seed, topology=topology)
             calls: dict[str, int] = {}
-            out = run_algorithm(compose([_counting(s, calls) for s in stages]), instance)
-            assert out.labels == _reference_run(compose(stages), instance)
+            out = run_algorithm(_chain([_counting(s, calls) for s in stages]), instance)
+            assert out.labels == _reference_run(_chain(stages), instance)
             assert out.topology == topology
             for i, stage in enumerate(stages):
                 if windows[i] <= length:  # once per distinct window
@@ -407,3 +454,87 @@ def test_table_and_closure_paths_agree(stages, topology):
                 else:  # once per window position, later stages' rounds included
                     later = sum(s.rounds for s in stages[i + 1 :])
                     assert calls[stage.name] == length + later
+
+
+def _four_cycle(repeats):
+    # Windows of 3 colours on this cycle: (3,4,1), (4,1,2), (1,2,3), (2,3,4)
+    # in node order; no other window appears.
+    return PathInstance(CYCLE, (1, 2, 3, 4) * repeats)
+
+
+def test_byte_stage_never_builds_a_window_table(monkeypatch):
+    def no_table(rule):
+        raise AssertionError("window table built for a byte-coded stage")
+
+    monkeypatch.setattr(model, "_WindowTable", no_table)
+    alg = compose([ns_algorithm(6, 2), four_to_three()])
+    instance = random_proper_instance(6, 500, seed=1)
+    assert run_algorithm(alg, instance).labels == _reference_run(alg, instance)
+
+
+def _lying_identity():
+    # Claims 4 output colours but passes 5 through, so the next stage's
+    # input holds a colour above its n.
+    return ReductionAlgorithm(
+        ONE_SIDED, 0, Palette(5), Palette(4), lambda w: w[0], name="lying identity"
+    )
+
+
+@pytest.mark.parametrize("topology", [CYCLE, PATH])
+def test_byte_stage_falls_back_on_colours_it_cannot_code(topology):
+    lying = _lying_identity()
+    # This one outputs equal neighbours, windows outside proper_sequences.
+    merging = ReductionAlgorithm(
+        ONE_SIDED, 0, Palette(4), Palette(4), lambda w: max(w[0], 2), name="merging"
+    )
+    for first, n in ((lying, 5), (merging, 4)):
+        alg = compose([first, four_to_three()])
+        instance = random_proper_instance(n, 300, seed=2, topology=topology)
+        out = run_algorithm(alg, instance)
+        assert out.labels == _reference_run(alg, instance)
+        assert (5 in out.labels) == (first is lying)  # 4to3 keeps a middle 5
+
+
+def test_byte_stage_range_check_catches_an_aliased_code():
+    # A 5 only in the last window, (3, 1, 5), whose overflowing code is that
+    # of the proper window (3, 2, 1): only the range check sees it.
+    alg = compose([_lying_identity(), four_to_three()])
+    instance = PathInstance(PATH, (1, 2, 3, 4) * 9 + (3, 1, 5))
+    assert run_algorithm(alg, instance).labels[-1] == 1 == _reference_run(alg, instance)[-1]
+
+
+@pytest.mark.parametrize(
+    "bad", [LookupError("absent"), 0, 256, True, "x"], ids=["raises", "0", "256", "bool", "str"]
+)
+def test_rule_misbehaving_on_absent_window_changes_nothing(bad):
+    base = four_to_three().rule
+
+    def rule(window):
+        if window == (1, 2, 1):
+            if isinstance(bad, Exception):
+                raise bad
+            return bad
+        return base(window)
+
+    stage = dataclasses.replace(four_to_three(), rule=rule)
+    instance = _four_cycle(25)
+    assert run_algorithm(stage, instance).labels == _reference_run(four_to_three(), instance)
+
+
+def test_rule_raising_on_present_window_raises_as_the_window_table_does():
+    base = four_to_three().rule
+
+    def rule(window):
+        # (2, 3, 4) comes first in proper_sequences, (3, 4, 1) first on the cycle
+        if window in ((2, 3, 4), (3, 4, 1)):
+            raise LookupError(window)
+        return base(window)
+
+    stage = dataclasses.replace(four_to_three(), rule=rule)
+    with pytest.raises(LookupError) as raised:
+        run_algorithm(stage, _four_cycle(25))
+    assert raised.value.args == ((3, 4, 1),)
+    # a value that is no colour reaches the output check, as before
+    stage = dataclasses.replace(four_to_three(), rule=lambda w: 0 if w == (1, 2, 3) else base(w))
+    with pytest.raises(ValueError, match="positive integers"):
+        run_algorithm(stage, _four_cycle(25))

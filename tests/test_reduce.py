@@ -87,8 +87,9 @@ def _mask(members):
 
 
 def test_gosper_masks_follow_colex_rank_order():
-    for k in range(1, 6):
-        for m in range(k, 12):
+    # Gosper's hack shares no code with the unranker's binomial steps.
+    for k in range(1, 7):
+        for m in range(k, 13):
             count = comb(m, k)
             expected = [_mask(colex_unrank(rank, k, m)) for rank in range(1, count + 1)]
             assert _colex_masks(k, count) == expected
@@ -96,6 +97,17 @@ def test_gosper_masks_follow_colex_rank_order():
     for rank in random.Random(20).sample(range(1, comb(20, 10) + 1), 2000):
         assert masks[rank - 1] == _mask(colex_unrank(rank, 10, 20))
         assert masks[rank - 1] == _colex_unrank_mask(rank, 10, 20)
+
+
+def test_unranker_on_wide_subsets():
+    # Each binomial is a big number here: both ends and sampled ranks,
+    # checked by the combinatorial number system.
+    k, m = 60, 120
+    top = comb(m, k)
+    rng = random.Random(60)
+    for rank in [1, 2, top - 1, top, *(rng.randint(1, top) for _ in range(50))]:
+        members = [i for i in range(1, m + 1) if _colex_unrank_mask(rank, k, m) >> (i - 1) & 1]
+        assert len(members) == k and _colex_rank(members) == rank
 
 
 def test_ns_rule_same_with_and_without_mask_list(monkeypatch):

@@ -4,10 +4,16 @@ Every colouring search in the package runs one saturation-first (DSATUR,
 Brélaz 1979) backtracking kernel, ``_dsatur``.  It extends the uncoloured
 vertex seeing the most distinct neighbour colours, then the highest degree,
 and undoes its last choice when a vertex has no colour left.  The kernel
-keeps the uncoloured vertices in one bucket per saturation and moves a
-vertex between buckets where its forbidden colours change, so a pick scans
-only the top bucket for the highest degree rather than every uncoloured
-vertex (San Segundo 2012).
+works on int bitsets, after San Segundo's bitboard search (BBMC, 2011).
+Each vertex has one bit position, in pick order: by degree, then by least
+index.  A few ints hold the state: the uncoloured set, one set per colour
+of the vertices that colour is forbidden to, and the saturation as a
+bit-sliced counter.  A pick masks the uncoloured set by the counter's
+planes from the top down and takes the highest set bit.  Colouring v with
+c adds ``nbr[v] & free & ~forb[c]`` to ``forb[c]`` and ripples it through
+the planes as a carry; a frame keeps that one int, and undo is an XOR and a
+borrow ripple.  So the int operations per search node depend on k, not on
+how many neighbours the vertex has.
 
 Without an RNG it is the complete search of :func:`k_colourable`: ties go
 to the least index and colours are tried in ascending order, up to one
@@ -18,9 +24,10 @@ descent never backtracks, and it is :func:`greedy_colouring`.
 
 With an RNG it is the restart body of ``speedup.random_proper_table``: the
 tied vertices, in ascending index order, and a shuffled order of all free
-colours are drawn from the RNG, under a backtrack cap.  The ascending order
-makes a seed fix the search on any interpreter, whatever order its sets
-iterate in.  The fresh-colour cap is left out: a sampler needs no
+colours are drawn from the RNG, under a backtrack cap.  The ties are the
+top candidates of the best pick's degree class, a run of adjacent bit
+positions; the RNG draws an index into them, so a seed fixes the search on
+any interpreter.  The fresh-colour cap is left out: a sampler needs no
 symmetry breaking, and the cap would change the random stream that sampled
 tables come from.
 
@@ -134,6 +141,18 @@ def _greedy_clique(adj: list[Sequence[int]]) -> list[int]:
     return clique
 
 
+def _nth_highest_bit(bits: int, i: int) -> int:
+    """Position of the set bit of ``bits`` that has ``i`` set bits above it."""
+    low, high = 0, bits.bit_length()  # bits >> low has more than i set bits, bits >> high not
+    while high - low > 1:
+        mid = (low + high) >> 1
+        if (bits >> mid).bit_count() > i:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
 def _dsatur(
     adj: list[Sequence[int]],
     k: int,
@@ -151,91 +170,107 @@ def _dsatur(
     ``max_backtracks`` times.  Raises :class:`BudgetExceeded` past
     ``node_limit`` nodes.
     """
+    precolouring = precolouring or {}
     n = len(adj)
     degrees = [len(a) for a in adj]
-    colour = [0] * n
-    forbidden = [0] * n
-    max_used = 0
-    for v, c in (precolouring or {}).items():
-        colour[v] = c
-        bit = 1 << (c - 1)
+    # Bit p of every set stands for vertex order[p]: by degree, then by
+    # descending index, so a set's highest bit is its best pick.
+    order = sorted(range(n), key=lambda v: (degrees[v], -v))
+    position = [0] * n
+    for p, v in enumerate(order):
+        position[v] = p
+    nbr = []
+    for v in order:
+        mask = 0
         for u in adj[v]:
-            forbidden[u] |= bit
+            mask |= 1 << position[u]
+        nbr.append(mask)
+    # class_low[p]: the lowest position of p's degree class
+    class_low = list(range(n))
+    for p in range(1, n):
+        if degrees[order[p]] == degrees[order[p - 1]]:
+            class_low[p] = class_low[p - 1]
+
+    free = (1 << n) - 1  # uncoloured, less the vertex whose colours are being tried
+    forb = [0] * (k + 1)  # forb[c]: vertices with a neighbour coloured c (kept on free ones)
+    max_used = 0
+    for v, c in precolouring.items():
+        free ^= 1 << position[v]
+        forb[c] |= nbr[position[v]]
         max_used = max(max_used, c)
-    # Uncoloured vertices by saturation.  The vertex whose colours are being
-    # tried is in no bucket until it runs out of them.  A saturation never
-    # exceeds the degree, and top is at least every bucketed saturation.
-    sat = [f.bit_count() for f in forbidden]
-    buckets = [set() for _ in range(max(degrees, default=0) + 1)]
-    for v in range(n):
-        if not colour[v]:
-            buckets[sat[v]].add(v)
-    left = sum(map(len, buckets))
-    top = len(buckets) - 1
-    rank = [d * n + n - 1 - v for v, d in enumerate(degrees)]  # degree, then least index
+    # Saturation, bit-sliced and most significant plane first: bit p of
+    # planes[-1 - j] is bit j of p's count of forbidden colours.  Counts
+    # change by rippling a carry (or borrow) set up from planes[-1], and
+    # never exceed k or the degree.
+    planes = [0] * min(k, max(degrees, default=0)).bit_length()
+    for carry in forb:
+        j = -1
+        while carry:
+            plane = planes[j]
+            planes[j] = plane ^ carry
+            carry &= plane
+            j -= 1
 
     palette = range(1, k + 1)
     nodes = 0
     backtracks = 0
     frames: list[tuple] = []
-    while left:
-        while not buckets[top]:
-            top -= 1
-        bucket = buckets[top]
-        v = max(bucket, key=rank.__getitem__)
+    while free:
+        top = free  # narrowed plane by plane to the largest saturation
+        for plane in planes:
+            higher = top & plane
+            if higher:
+                top = higher
+        p = top.bit_length() - 1
         if rng is None:
             # a fresh colour beyond max_used + 1 is symmetric to max_used + 1
-            options = ~forbidden[v] & ((1 << min(k, max_used + 1)) - 1)
+            options = [c for c in range(min(k, max_used + 1), 0, -1) if not forb[c] >> p & 1]
         else:
-            d = degrees[v]
-            v = rng.choice(sorted(u for u in bucket if degrees[u] == d))
-            options = [c for c in palette if not forbidden[v] >> (c - 1) & 1]
+            low = class_low[p]
+            ties = top >> low  # the top candidates of p's degree class, by descending index
+            p = low + _nth_highest_bit(ties, rng.choice(range(ties.bit_count())))
+            options = [c for c in palette if not forb[c] >> p & 1]
             rng.shuffle(options)
-        bucket.remove(v)
-        left -= 1
+        free ^= 1 << p
 
         while True:
             if options:
                 nodes += 1
                 if nodes > node_limit:
                     raise BudgetExceeded(f"node limit {node_limit} hit after {nodes - 1} nodes")
-                if rng is None:
-                    bit = options & -options
-                    options ^= bit
-                    c = bit.bit_length()
-                else:
-                    c = options.pop()
-                    bit = 1 << (c - 1)
-                colour[v] = c
-                changed = []
-                for u in adj[v]:
-                    if colour[u] == 0 and not forbidden[u] & bit:
-                        forbidden[u] |= bit
-                        s = sat[u]
-                        sat[u] = s + 1
-                        buckets[s].remove(u)
-                        buckets[s + 1].add(u)
-                        changed.append(u)
-                        if s == top:
-                            top += 1
-                frames.append((v, options, c, changed, max_used))
-                max_used = max(max_used, c)
+                c = options.pop()
+                add = nbr[p] & free
+                add ^= add & forb[c]
+                forb[c] |= add
+                carry = add
+                j = -1
+                while carry:
+                    plane = planes[j]
+                    planes[j] = plane ^ carry
+                    carry &= plane
+                    j -= 1
+                frames.append((p, options, c, add, max_used))
+                if c > max_used:
+                    max_used = c
                 break
-            buckets[sat[v]].add(v)
-            left += 1
-            top = max(top, sat[v])
+            free |= 1 << p
             backtracks += 1
             if backtracks > max_backtracks or not frames:
                 return None, nodes
-            v, options, c, changed, max_used = frames.pop()
-            bit = 1 << (c - 1)
-            for u in changed:
-                forbidden[u] ^= bit
-                s = sat[u]
-                sat[u] = s - 1
-                buckets[s].remove(u)
-                buckets[s - 1].add(u)
-            colour[v] = 0
+            p, options, c, add, max_used = frames.pop()
+            forb[c] ^= add
+            borrow = add
+            j = -1
+            while borrow:
+                plane = planes[j]
+                planes[j] = plane ^ borrow
+                borrow &= ~plane
+                j -= 1
+    colour = [0] * n
+    for v, c in precolouring.items():
+        colour[v] = c
+    for p, _, c, _, _ in frames:
+        colour[order[p]] = c
     return colour, nodes
 
 

@@ -156,7 +156,11 @@ def from_dimacs(text: str) -> UGraph:
         if parts[0] == "p":
             if len(parts) != 4 or parts[1] != "edge":
                 raise ValueError(f"bad problem line: {line!r}")
+            if n is not None:
+                raise ValueError(f"second problem line: {line!r}")
             n = int(parts[2])
+            if n < 0:
+                raise ValueError(f"negative vertex count: {line!r}")
         elif parts[0] == "e":
             if len(parts) < 3:
                 raise ValueError(f"bad edge line: {line!r}")

@@ -399,14 +399,17 @@ def window_graph(n: int, length: int, *, all_distinct: bool = False) -> tuple[tu
         w for w in proper_sequences(n, length) if not all_distinct or len(set(w)) == length
     )
     index = {w: i for i, w in enumerate(windows)}
-    edges = set()
-    for i, w in enumerate(windows):
-        stem = w[1:]
-        for y in range(1, n + 1):
-            j = index.get(stem + (y,))
-            if j is not None and j != i:
-                edges.add((min(i, j), max(i, j)))
-    return windows, frozenset(edges)
+
+    def shift_edges():
+        for i, w in enumerate(windows):
+            stem = w[1:]
+            for y in range(1, n + 1):
+                j = index.get(stem + (y,))
+                if j is not None and j != i:
+                    yield (min(i, j), max(i, j))
+
+    # Straight into the frozenset: a set first would be a second copy.
+    return windows, frozenset(shift_edges())
 
 
 def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None = None) -> bool:

@@ -134,7 +134,9 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     Evaluated in closed form.  For palettes of at most 2^20 colours the first
     call builds the masks of all n colours in one pass and publishes the
     finished list, so concurrent callers at worst build it twice; larger
-    palettes cache masks per colour in a ``functools.lru_cache``.
+    palettes cache masks per colour in a ``functools.lru_cache``.  The rule
+    of a symbolic palette (tower height 6 and up) raises ValueError: its
+    masks would not fit in memory.
     """
     n = _exact_if_fits(n)
     if k < 2:
@@ -153,13 +155,22 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
             d = masks[u] & ~masks[v]
             return (d & -d).bit_length()
 
-    else:
+    elif isinstance(n, int):
         mask = lru_cache(maxsize=None)(partial(_colex_unrank_mask, k=k, m=2 * k))
 
         def rule(window: ColourWindow) -> int:
             u, v = window
             d = mask(u) & ~mask(v)
             return (d & -d).bit_length()
+
+    else:
+
+        def rule(window: ColourWindow) -> int:
+            # A symbolic palette needs k of about 2^65535 or more, so no
+            # colour's k-subset mask fits in memory.
+            raise ValueError(
+                f"cannot evaluate ns k={format_count(k)} on a symbolic palette of {n} colours"
+            )
 
     return ReductionAlgorithm(
         ONE_SIDED, 1, Palette(n), Palette(2 * k), rule, name=f"ns k={format_count(k)}"

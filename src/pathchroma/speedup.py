@@ -517,15 +517,18 @@ def random_proper_table(
     - every restart fails without that proof: RuntimeError "... not found",
       saying whether the complete search decided feasibility.
     """
+    # Only the labels and the adjacency live through the restarts: the edge
+    # set (1.5 MB for n=8, t=3) outweighs the kernel's neighbour masks.
     graph = UGraph(*window_graph(n, t + 1))
-    adjacency = graph.adjacency()
+    labels, adjacency = graph.labels, graph.adjacency()
+    del graph
 
     rng = random.Random(seed)
     feasibility = "feasibility not decided"
     for restart in range(restarts):
         assignment = _random_dsatur(adjacency, c, rng, max_backtracks=max_backtracks)
         if assignment is not None:
-            table = dict(zip(graph.labels, assignment))
+            table = dict(zip(labels, assignment))
             return ReductionAlgorithm(
                 ONE_SIDED,
                 t,

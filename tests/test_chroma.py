@@ -198,7 +198,7 @@ def test_rejects_bad_k():
         export_cnf(triangle(), 0)
 
 
-# --- the bucket kernel against a literal scan ---------------------------------
+# --- the bitset kernel against a literal scan ---------------------------------
 
 
 def _scan_dsatur(
@@ -315,10 +315,7 @@ def _kernel_inputs(draw):
         neighbours[j].add(i)
     adj = [tuple(sorted(a)) for a in neighbours]
     k = draw(st.integers(1, 5))
-    precolouring = {}
-    for v, c in draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(1, k))).items():
-        if v < n and all(precolouring.get(u) != c for u in adj[v]):
-            precolouring[v] = c
+    precolouring = _precolouring(draw, adj, k)
     seed = draw(st.none() | st.integers(0, 2**32))
     limits = draw(
         st.fixed_dictionaries(
@@ -328,9 +325,57 @@ def _kernel_inputs(draw):
     return adj, k, precolouring, seed, limits
 
 
+def _precolouring(draw, adj, k):
+    """A proper partial colouring of some vertices, drawn."""
+    n = len(adj)
+    precolouring = {}
+    for v, c in draw(st.dictionaries(st.integers(0, max(n - 1, 0)), st.integers(1, k))).items():
+        if v < n and all(precolouring.get(u) != c for u in adj[v]):
+            precolouring[v] = c
+    return precolouring
+
+
+@st.composite
+def _sparse_kernel_inputs(draw):
+    """Sparse graphs on 31-150 vertices, under a node limit.
+
+    Bit masks span several int digits, and many vertices share a degree, so
+    the RNG draws among several tied vertices.  Several components make an
+    UNSAT search exponential, hence the limit.
+    """
+    n = draw(st.integers(31, 150))
+    vertex = st.integers(0, n - 1)
+    neighbours = [set() for _ in range(n)]
+    for i, j in draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n)):
+        if i != j:
+            neighbours[i].add(j)
+            neighbours[j].add(i)
+    adj = [tuple(sorted(a)) for a in neighbours]
+    k = draw(st.integers(2, 5))
+    precolouring = _precolouring(draw, adj, k)
+    seed = draw(st.none() | st.integers(0, 2**32))
+    limits = draw(
+        st.fixed_dictionaries(
+            {"node_limit": st.integers(0, 3000)}, optional={"max_backtracks": st.integers(0, 50)}
+        )
+    )
+    return adj, k, precolouring, seed, limits
+
+
 @settings(max_examples=400, deadline=None)
-@given(_kernel_inputs())
+@given(_kernel_inputs() | _sparse_kernel_inputs())
 def test_kernel_matches_scan_on_random_graphs(case):
     adj, k, precolouring, seed, limits = case
     kernel, scan = _both_kernels(adj, k, precolouring, seed, **limits)
     assert kernel == scan
+
+
+def test_greedy_colouring_matches_scan():
+    rng = random.Random(0)
+    graph = UGraph.from_label_edges(
+        range(100), rng.sample(list(itertools.combinations(range(100), 2)), 600)
+    )
+    assignment, used = greedy_colouring(graph)
+    colour, nodes = _scan_dsatur(graph.adjacency(), graph.vertex_count)
+    assert [assignment[v] for v in range(100)] == colour
+    assert (used, nodes) == (max(colour), 100)

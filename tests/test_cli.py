@@ -97,6 +97,16 @@ def test_simulate_tower_sized_palette_finishes(capsys):
     assert "proper=true" in out
 
 
+def test_simulate_symbolic_palette_exits_2(capsys):
+    # A tower(6) palette would need colour masks of about 2^65535 bits.
+    code, out, err = run(
+        capsys, "simulate", "--alg", "schedule:n=pt:6", "--input", "random:5,10,1"
+    )
+    assert code == 2
+    assert out == ""
+    assert "symbolic palette" in err
+
+
 def test_usage_error_exit_code(capsys):
     assert main(["simulate"]) == 2  # missing required flags
     assert main(["no-such-command"]) == 2

@@ -2,8 +2,9 @@
 
 Every input either parses or raises ValueError, and through ``main`` every
 input a parser rejects exits 2 with nothing on stdout.  Integer sizes are
-bounded, so that valid but huge specs (``ns:k=1000000``, ``schedule:n=pt:5``)
-are not generated: they parse, but running them takes seconds.
+bounded, so that valid but huge specs (``ns:k=1000000``, ``schedule:n=pt:5``,
+``p edge 1000000000 0``) are not generated: they parse, but running them
+takes seconds or allocates a name per vertex.
 """
 
 import contextlib
@@ -15,6 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pathchroma.cli import main, parse_algorithm, parse_count
+from pathchroma.graphs import from_dimacs
 from pathchroma.model import CYCLE, PATH, PathInstance, parse_instance
 
 FUZZ = settings(max_examples=100, deadline=None)
@@ -52,6 +54,28 @@ instance_text = st.one_of(
         st.one_of(st.sampled_from([CYCLE, PATH]), junk),
         st.lists(label_token, max_size=8),
         st.one_of(st.just(""), junk),
+    ),
+)
+# DIMACS .col text: random lines, or a header and edges between small
+# vertex numbers that often lie in range.  Vertex counts stay within
+# small_int.
+dimacs_line = st.one_of(
+    st.builds("p edge {} {}".format, int_text, int_text),
+    st.builds("p {} {} {}".format, st.one_of(st.just("edge"), junk), int_text, int_text),
+    st.builds("e {} {}".format, int_text, int_text),
+    st.builds("e {}".format, int_text),
+    st.builds("c label {} {}".format, int_text, junk),
+    st.builds("c {}".format, junk),
+    junk,
+)
+vertex = st.integers(1, 6).map(str)
+dimacs_text = st.one_of(
+    st.lists(dimacs_line, max_size=8).map("\n".join),
+    st.builds(
+        lambda n, edges, extra: "\n".join([f"p edge {n} {len(edges)}", *edges, *extra]),
+        st.integers(-1, 8),
+        st.lists(st.builds("e {} {}".format, vertex, vertex), max_size=10),
+        st.lists(dimacs_line, max_size=1),
     ),
 )
 
@@ -112,6 +136,24 @@ def test_parse_instance_parses_or_raises_value_error(text):
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
         code, out, _ = _main("simulate", "--alg", "identity:n=40", "--input", path)
+    _check_exit(parsed, code, out)
+
+
+@FUZZ
+@given(dimacs_text)
+def test_from_dimacs_parses_or_raises_value_error(text):
+    _parses(from_dimacs, text)
+
+
+@FUZZ_MAIN
+@given(dimacs_text, st.sampled_from([("--chromatic",), ("--k", "3"), ("--k", "0")]))
+def test_colour_command_exits_0_or_2(text, options):
+    parsed = _parses(from_dimacs, text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.col")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, out, _ = _main("colour", "--input", path, *options)
     _check_exit(parsed, code, out)
 
 

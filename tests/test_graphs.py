@@ -201,6 +201,10 @@ def test_dimacs_rejects_malformed():
         from_dimacs("p edge 2 1\ne 1 1\n")
     with pytest.raises(ValueError):
         from_dimacs("p edge 2 1\ne 1 5\n")
+    with pytest.raises(ValueError, match="negative"):
+        from_dimacs("p edge -3 0\n")
+    with pytest.raises(ValueError, match="second problem line"):
+        from_dimacs("p edge 2 1\np edge 3 0\ne 1 2\n")
 
 
 def _reference_neighbourhood_graph(n, t, all_distinct):

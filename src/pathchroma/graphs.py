@@ -145,7 +145,12 @@ def to_dimacs(graph: UGraph) -> str:
 
 
 def from_dimacs(text: str) -> UGraph:
-    """Parse DIMACS .col; labels come from ``c label`` comments when present."""
+    """Parse DIMACS .col; labels come from ``c label`` comments when present.
+
+    A second label for one vertex and a label for a vertex outside 1..n are
+    errors.  The edge count on the ``p`` line is not checked: files in the
+    wild often count each edge twice.
+    """
     n = None
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
@@ -169,10 +174,15 @@ def from_dimacs(text: str) -> UGraph:
                 raise ValueError("loops are not allowed")
             edges.append((min(u, v), max(u, v)))
         elif parts[0] == "c" and len(parts) >= 3 and parts[1] == "label":
-            labels[int(parts[2]) - 1] = " ".join(parts[3:])
+            vertex = int(parts[2]) - 1
+            if vertex in labels:
+                raise ValueError(f"second label for vertex {vertex + 1}: {line!r}")
+            labels[vertex] = " ".join(parts[3:])
     if n is None:
         raise ValueError("missing 'p edge' header")
     if any(not (0 <= u < n and 0 <= v < n) for u, v in edges):
         raise ValueError("edge endpoint outside vertex range")
+    if any(not 0 <= vertex < n for vertex in labels):
+        raise ValueError("label for a vertex outside the vertex range")
     names = tuple(labels.get(i, str(i + 1)) for i in range(n))
     return UGraph(names, frozenset(edges))

@@ -275,6 +275,18 @@ class _WindowTable(dict):
         return value
 
 
+def _colour_bytes(seq, n: int) -> bytes | None:
+    """``seq`` as bytes, or None if some entry is not an int in 1..n (n <= 255)."""
+    if not isinstance(seq, bytes):
+        try:
+            seq = bytes(seq)
+        except (TypeError, ValueError):  # a colour that is no int in 0..255
+            return None
+    if seq.translate(None, bytes(range(1, n + 1))):  # a colour outside 1..n is left
+        return None
+    return seq
+
+
 def _byte_stage(seq, rule: Callable[[ColourWindow], int], n: int, wl: int) -> bytes | None:
     """One table stage over a whole sequence, in C, for n**wl <= 256.
 
@@ -291,12 +303,8 @@ def _byte_stage(seq, rule: Callable[[ColourWindow], int], n: int, wl: int) -> by
     input window with two equal adjacent colours (code outside the table,
     read as 0).
     """
-    if not isinstance(seq, bytes):
-        try:
-            seq = bytes(seq)
-        except (TypeError, ValueError):  # a colour that is no int in 0..255
-            return None
-    if seq.translate(None, bytes(range(1, n + 1))):  # a colour outside 1..n is left
+    seq = _colour_bytes(seq, n)
+    if seq is None:
         return None
     table = bytearray(256)
     for window in proper_sequences(n, wl):
@@ -324,11 +332,18 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
 
     Windows wrap on cycles.  On paths, entries beyond the endpoints are
     simulated by the virtual-extension rule (prev(x) = 1 unless x = 1, then
-    2), applied backwards from the head and mirrored past the tail.  A stage
-    with no more valid windows than the instance has nodes is evaluated
-    through a table, once per valid window (``_byte_stage``) when at most
-    256 window codes exist, else once per distinct window; any other stage
-    calls its rule at every node.
+    2), applied backwards from the head and mirrored past the tail.
+
+    Each stage takes the first of three paths that gives an answer.  A
+    one-round stage whose rule has a sequence form, ``rule.over(seq)``,
+    gets its outputs from that form as bytes (``ns_algorithm`` and
+    ``cv_algorithm`` give their rules one).  A stage with no more valid
+    windows than the instance has nodes is evaluated through a table, once
+    per valid window (``_byte_stage``) when at most 256 window codes exist,
+    else once per distinct window (``_WindowTable``).  Any other stage calls
+    its rule at every node.  A form or the byte table declines (None) every
+    input on which only the rule gives today's outputs and errors, so all
+    paths give the same labels.
     """
     labels = instance.labels
     # PathInstance holds ints >= 1 only, so the largest label decides.
@@ -350,6 +365,12 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     for stage in alg.stages or (alg,):
         wl = stage.window_length
         rule = stage.rule
+        over = getattr(rule, "over", None)
+        if over is not None and wl == 2:
+            out = over(seq)
+            if out is not None:
+                seq = out
+                continue
         n = stage.in_palette.size
         if isinstance(n, int) and count_proper_sequences(n, wl) <= length:
             out = _byte_stage(seq, rule, n, wl) if n**wl <= 256 else None

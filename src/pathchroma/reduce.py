@@ -9,9 +9,12 @@ pipeline.
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from math import comb
+from operator import itemgetter
 from typing import Sequence
 
 from .model import (
@@ -20,10 +23,29 @@ from .model import (
     ReductionAlgorithm,
     TowerValue,
     ColourWindow,
+    _colour_bytes,
     format_count,
     identity_algorithm,
     tower,
 )
+
+# Array typecodes by item size.  ``_colex_masks`` and the sequence forms
+# pack one int per subset or node into a lane of one of these sizes, in
+# native byte order, and run one big-int operation over all lanes at once.
+_TYPECODES = {array(code).itemsize: code for code in "BHILQ"}
+# Byte tables: a byte's lowest set bit alone, and 1 for every byte that is
+# not 0.  For byte p of a lane (its bits 8p..8p+7), _LOW[p] gives the
+# 1-based position i of the lane's lowest set bit, and _LOW_CV[p] gives
+# 2i - 1, the cv output before v - 1's bit is added; both give 0 for 0.
+_ISOLATE = bytes(b & -b for b in range(256))
+_ONE = bytes(map(bool, range(256)))
+_LOW = [bytes(b and 8 * p + b.bit_length() for b in _ISOLATE) for p in range(8)]
+_LOW_CV = [bytes(b and 16 * p + 2 * b.bit_length() - 1 for b in _ISOLATE) for p in range(8)]
+
+
+def _lane_width(size: int) -> int | None:
+    """The least array item size of at least ``size`` bytes, if there is one."""
+    return min((width for width in _TYPECODES if width >= size), default=None)
 
 
 def colex_unrank(rank: int, k: int, m: int) -> frozenset[int]:
@@ -58,19 +80,127 @@ def _colex_unrank_mask(rank: int, k: int, m: int) -> int:
 
 
 def _colex_masks(k: int, count: int) -> list[int]:
-    """Subset masks of colex ranks 1..count, in one pass of Gosper's hack.
+    """Subset masks of colex ranks 1..count, built a block at a time.
 
-    Colex order on k-subsets is increasing numeric order of their bitmasks,
-    and Gosper's hack steps from one k-bit mask to the next larger one.
+    Colex order on k-subsets is increasing numeric order of their bitmasks.
+    The j-subsets whose largest element is bit a-1 are the first C(a-1, j-1)
+    (j-1)-subsets, each with bit a-1 added, so every level of j-subsets is
+    a run of blocks cut from the level below.  A level is kept as bytes of
+    fixed-width lanes, and one big-int OR adds the bit to a whole block.
     """
-    masks = []
-    x = (1 << k) - 1
-    for _ in range(count):
-        masks.append(x)
-        low = x & -x
-        high = x + low
-        x = (((high ^ x) >> 2) // low) | high
-    return masks
+    top = k  # every one of the count subsets lies within bits 0..top-1
+    while comb(top, k) < count:
+        top += 1
+    width = _lane_width(-(-top // 8)) or -(-top // 8)
+    order = sys.byteorder
+    level = bytes(width)  # the one 0-subset
+    for j in range(1, k + 1):
+        blocks = []
+        size = 1  # C(a-1, j-1)
+        for a in range(j, top - k + j + 1):
+            if j == k:  # the last level stops at count subsets
+                size = min(size, count)
+                count -= size
+            bit = (1 << (a - 1)).to_bytes(width, order) * size
+            block = int.from_bytes(level[: size * width], "little") | int.from_bytes(bit, "little")
+            blocks.append(block.to_bytes(size * width, "little"))
+            size = size * a // (a - j + 1)
+        level = b"".join(blocks)
+    if width in _TYPECODES:
+        return array(_TYPECODES[width], level).tolist()
+    return [int.from_bytes(level[i : i + width], order) for i in range(0, len(level), width)]
+
+
+def _plane(lanes: bytes, width: int, p: int) -> bytes:
+    """Byte p (bits 8p..8p+7) of every native ``width``-byte lane."""
+    return lanes[p if sys.byteorder == "little" else width - 1 - p :: width]
+
+
+def _lowest_plane(values: list[bytes]) -> bytes:
+    """Per lane, its byte in the first of ``values`` where that byte is not 0."""
+    if len(values) == 1:
+        return values[0]
+    out = int.from_bytes(values[-1], "little")
+    for value in values[-2::-1]:
+        taken = int.from_bytes(value.translate(_ONE), "little") * 255
+        out = int.from_bytes(value, "little") | out & ~taken
+    return out.to_bytes(len(values[0]), "little")
+
+
+def _subset_minima(seq, masks: list[int], n: int, k: int) -> bytes | None:
+    """The ns rule on every pair of adjacent colours in ``seq``, as bytes.
+
+    The masks of all colours are gathered into lanes, ``u & ~v`` is one
+    big-int operation over all pairs, and the lowest set bit of each lane
+    comes from one 256-byte translate per byte plane.  Returns None where
+    the rule alone gives the outputs and errors: a colour that is not an
+    int in 1..n, fewer than two colours, or masks wider than 8 bytes.
+    """
+    planes = -(-k // 4)  # bytes of a 2k-bit mask
+    if len(seq) < 2:
+        return None
+    if planes == 1:  # n <= C(8, 4): one translate gathers the masks
+        codes = _colour_bytes(seq, n)
+        if codes is None:
+            return None
+        lanes, width = codes.translate(bytes(masks) + bytes(255 - n)), 1
+    else:
+        width = _lane_width(planes)
+        if width is None:
+            return None
+        try:
+            gathered = itemgetter(*seq)(masks)
+            if min(seq) < 1:  # the gather took colour 0 or wrapped a negative one
+                return None
+        except (TypeError, IndexError):
+            return None
+        lanes = array(_TYPECODES[width], gathered).tobytes()
+    u = int.from_bytes(lanes[:-width], "little")
+    v = int.from_bytes(lanes[width:], "little")
+    d = ((u | v) ^ v).to_bytes(len(lanes) - width, "little")  # u & ~v
+    return _lowest_plane([_plane(d, width, p).translate(_LOW[p]) for p in range(planes)])
+
+
+def _bit_pairs(seq, k: int) -> bytes | None:
+    """The cv rule on every pair of adjacent colours in ``seq``, as bytes.
+
+    The colours go into lanes wide enough for 2^k, one subtraction makes
+    them u - 1, one XOR gives every pair's differing bits, and the planes
+    of those and of v - 1 give the lowest differing bit and v - 1's bit
+    there.  Returns None where the rule alone gives the outputs and errors:
+    a colour that is not an int in 1..2^k, equal neighbours (the rule
+    raises on them), fewer than two colours, or lanes wider than 8 bytes.
+    """
+    width = _lane_width(k // 8 + 1)  # k + 1 bits
+    if width is None or len(seq) < 2:
+        return None
+    typecode = _TYPECODES[width]
+    try:  # array() would read bytes as raw machine items, not as colours
+        lanes = array(typecode, seq if isinstance(seq, (list, tuple)) else list(seq))
+    except (TypeError, OverflowError):  # not an int, or one below 0 or too wide
+        return None
+    order = sys.byteorder
+    ones = int.from_bytes(array(typecode, [1]).tobytes() * len(lanes), order)
+    lowered = int.from_bytes(lanes, order) - ones  # colour - 1 in every lane
+    # The lowest lane outside 1..2^k gets no borrow and keeps a bit at k or above.
+    if lowered < 0 or lowered & ones * ((1 << 8 * width) - (1 << k)):
+        return None
+    lanes = lowered.to_bytes(len(lanes) * width, order)
+    v = lanes[width:]
+    diff = int.from_bytes(lanes[:-width], "little") ^ int.from_bytes(v, "little")
+    diff = diff.to_bytes(len(v), "little")
+    values = []
+    for p in range(-(-k // 8)):
+        d = _plane(diff, width, p)
+        low = d.translate(_LOW_CV[p])
+        bit = int.from_bytes(d.translate(_ISOLATE), "little") & int.from_bytes(
+            _plane(v, width, p), "little"
+        )
+        bit = bit.to_bytes(len(d), "little").translate(_ONE)  # that bit of v - 1
+        value = int.from_bytes(low, "little") + int.from_bytes(bit, "little")
+        values.append(value.to_bytes(len(d), "little"))
+    out = _lowest_plane(values)
+    return None if 0 in out else out
 
 
 def _fits_subset_code(n: int | TowerValue, k: int) -> bool:
@@ -121,7 +251,7 @@ def least_ns_k(c: int | TowerValue) -> int:
 
 
 # Palettes up to this many colours read their subset masks from a list
-# built by one Gosper pass (about 36 bytes per colour); larger and symbolic
+# built by ``_colex_masks`` (about 36 bytes per colour); larger and symbolic
 # palettes unrank each colour on first sight and cache it.
 _MASK_LIST_LIMIT = 1 << 20
 
@@ -132,11 +262,13 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     Colours are read as k-subsets of [2k] through the colex code; a node
     with colour v receiving u from its predecessor outputs min f(u) \\ f(v).
     Evaluated in closed form.  For palettes of at most 2^20 colours the first
-    call builds the masks of all n colours in one pass and publishes the
-    finished list, so concurrent callers at worst build it twice; larger
-    palettes cache masks per colour in a ``functools.lru_cache``.  The rule
-    of a symbolic palette (tower height 6 and up) raises ValueError: its
-    masks would not fit in memory.
+    call builds the masks of all n colours at once and publishes the
+    finished list, so concurrent callers at worst build it twice; the rule
+    then has a sequence form, ``rule.over(seq)``, that the simulator runs
+    over all nodes at once (``_subset_minima``).  Larger palettes cache
+    masks per colour in a ``functools.lru_cache``.  The rule of a symbolic
+    palette (tower height 6 and up) raises ValueError: its masks would not
+    fit in memory.
     """
     n = _exact_if_fits(n)
     if k < 2:
@@ -154,6 +286,15 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
             u, v = window
             d = masks[u] & ~masks[v]
             return (d & -d).bit_length()
+
+        def over(seq) -> bytes | None:
+            nonlocal masks
+            if masks is None:
+                masks = [0, *_colex_masks(k, n)]
+            return _subset_minima(seq, masks, n, k)
+
+        # An attribute, not a field: a replaced or wrapped rule has no form.
+        rule.over = over
 
     elif isinstance(n, int):
         mask = lru_cache(maxsize=None)(partial(_colex_unrank_mask, k=k, m=2 * k))
@@ -183,6 +324,8 @@ def cv_algorithm(k: int) -> ReductionAlgorithm:
     A node with colour v receiving u outputs 2i + b + 1 where i is the
     lowest bit position at which u-1 and v-1 differ and b is that bit of
     v-1; overlapping windows disagree because the successor's bit flips.
+    The rule has a sequence form, ``rule.over(seq)``, that the simulator
+    runs over all nodes at once (``_bit_pairs``).
     """
     if k < 3:
         raise ValueError("bit-pairing reduction needs k >= 3")
@@ -193,6 +336,8 @@ def cv_algorithm(k: int) -> ReductionAlgorithm:
         i = (x & -x).bit_length() - 1
         b = (v - 1) >> i & 1
         return 2 * i + b + 1
+
+    rule.over = partial(_bit_pairs, k=k)
 
     return ReductionAlgorithm(
         ONE_SIDED, 1, Palette(2**k), Palette(2 * k), rule, name=f"cv k={k}"

@@ -77,6 +77,14 @@ dimacs_text = st.one_of(
         st.lists(st.builds("e {} {}".format, vertex, vertex), max_size=10),
         st.lists(dimacs_line, max_size=1),
     ),
+    # labels for vertices that repeat or lie outside 1..n
+    st.builds(
+        lambda n, labelled: "\n".join(
+            [f"p edge {n} 0", *(f"c label {v} x{i}" for i, v in enumerate(labelled))]
+        ),
+        st.integers(0, 4),
+        st.lists(st.integers(-1, 6), max_size=4),
+    ),
 )
 
 
@@ -143,6 +151,51 @@ def test_parse_instance_parses_or_raises_value_error(text):
 @given(dimacs_text)
 def test_from_dimacs_parses_or_raises_value_error(text):
     _parses(from_dimacs, text)
+
+
+def _label_vertices(text):
+    return [
+        int(parts[2])
+        for parts in map(str.split, text.splitlines())
+        if len(parts) >= 3 and parts[:2] == ["c", "label"]
+    ]
+
+
+@FUZZ
+@given(dimacs_text)
+def test_from_dimacs_takes_one_label_per_vertex_in_range(text):
+    try:
+        graph = from_dimacs(text)
+    except ValueError:
+        return
+    vertices = _label_vertices(text)
+    assert len(set(vertices)) == len(vertices)
+    assert all(1 <= v <= graph.vertex_count for v in vertices)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p edge 2 0\nc label 1 a\nc label 1 b\n",
+        "p edge 2 0\nc label 1 a\nc label 7 z\n",
+        "c label 0 z\np edge 2 1\ne 1 2\n",
+    ],
+    ids=["second label", "label above n", "label 0"],
+)
+def test_inconsistent_dimacs_labels_exit_2(text):
+    with pytest.raises(ValueError, match="label"):
+        from_dimacs(text)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "graph.col")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        code, out, err = _main("colour", "--input", path, "--k", "2")
+    assert (code, out) == (2, "") and "label" in err
+
+
+def test_dimacs_edge_count_is_not_checked():
+    # Files in the wild often count each edge twice.
+    assert from_dimacs("p edge 3 2\ne 1 2\n").edge_count == 1
 
 
 @FUZZ_MAIN

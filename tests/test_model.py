@@ -467,9 +467,39 @@ def test_byte_stage_never_builds_a_window_table(monkeypatch):
         raise AssertionError("window table built for a byte-coded stage")
 
     monkeypatch.setattr(model, "_WindowTable", no_table)
-    alg = compose([ns_algorithm(6, 2), four_to_three()])
+    ns = ns_algorithm(6, 2)
+    # A wrapped rule has no sequence form, so the ns stage takes the byte path.
+    alg = compose([dataclasses.replace(ns, rule=lambda w: ns.rule(w)), four_to_three()])
     instance = random_proper_instance(6, 500, seed=1)
     assert run_algorithm(alg, instance).labels == _reference_run(alg, instance)
+
+
+# The six simulate pipelines of the benchmark, each on a 10^4-node instance
+# of seed equal to its index, on a cycle and on a path: output digests as
+# the per-window and table paths gave them before the sequence forms.
+_SIMULATE_PIPELINES = [
+    (98304, lambda: ns_schedule(98304).stages, "225724a82bd4a94f", "725f2ec5426c308e"),
+    (65537, lambda: ns_schedule(65537).stages, "982c57a2d4bd49af", "16d957bf397eb02e"),
+    (17, lambda: ns_schedule(17).stages, "3a06345373be57cf", "3a06345373be57cf"),
+    (5, lambda: ns_schedule(5).stages, "99ca3fcf7f4fa927", "f0600b1fd074f35e"),
+    (
+        2**16,
+        lambda: (cv_algorithm(16), *ns_schedule(32).stages),
+        "e37c8e0f452403a1",
+        "eefb5401ae26c529",
+    ),
+    (98304, lambda: ns_schedule(98304).stages, "3cc47b2153a8b91f", "ef48b638bbd367c6"),
+]
+
+
+@pytest.mark.parametrize("seed", range(len(_SIMULATE_PIPELINES)))
+@pytest.mark.parametrize("topology", [CYCLE, PATH])
+def test_simulate_pipeline_outputs_are_pinned(seed, topology):
+    n, stages, cycle_digest, path_digest = _SIMULATE_PIPELINES[seed]
+    instance = random_proper_instance(n, 10**4, seed, topology)
+    labels = run_algorithm(compose(stages()), instance).labels
+    digest = hashlib.sha256(" ".join(map(str, labels)).encode()).hexdigest()[:16]
+    assert digest == (cycle_digest if topology == CYCLE else path_digest)
 
 
 def _lying_identity():

@@ -1,13 +1,19 @@
+import dataclasses
 import itertools
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from pathchroma.model import (
     CYCLE,
+    ONE_SIDED,
+    PATH,
+    Palette,
     PathInstance,
+    ReductionAlgorithm,
     TowerValue,
     exhaustive_properness_check,
     identity_algorithm,
@@ -86,8 +92,8 @@ def _mask(members):
     return sum(1 << (x - 1) for x in members)
 
 
-def test_gosper_masks_follow_colex_rank_order():
-    # Gosper's hack shares no code with the unranker's binomial steps.
+def test_colex_masks_follow_colex_rank_order():
+    # The block build shares no code with the unranker's binomial steps.
     for k in range(1, 7):
         for m in range(k, 13):
             count = comb(m, k)
@@ -384,3 +390,91 @@ def test_pipeline_describe_format():
     assert lines[2] == "ns k=2 in=6 out=4"
     assert lines[3] == "4to3 in=4 out=3"
     assert lines[4] == "rounds=5"
+
+
+# --- sequence forms ----------------------------------------------------------
+
+# ns palettes with the least k and with a larger one, on one and on several
+# byte planes; cv for k = 3..16.
+_FORM_CASES = [
+    *(("ns", n, k) for n, k in [(5, 2), (6, 2), (6, 4), (20, 3), (20, 5), (32, 4), (70, 4)]),
+    *(("ns", n, k) for n, k in [(71, 5), (300, 6), (65537, 10), (98304, 10), (98304, 13)]),
+    *(("cv", 2**k, k) for k in range(3, 17)),
+]
+
+
+@lru_cache(maxsize=None)
+def _form_stage(kind, n, k):
+    return ns_algorithm(n, k) if kind == "ns" else cv_algorithm(k)
+
+
+def _outcome(stage, values):
+    # run_algorithm's labels, or its error, where the stage's input is
+    # values[1], values[0], values[1], ..., values[-1]: a 0-round first stage
+    # reads them off a path labelled 1..len(values), whose virtual colour
+    # before the head is 2.
+    feed = ReductionAlgorithm(
+        ONE_SIDED, 0, Palette(len(values)), stage.in_palette, lambda w: values[w[0] - 1]
+    )
+    instance = PathInstance(PATH, tuple(range(1, len(values) + 1)))
+    try:
+        return run_algorithm(compose([feed, stage]), instance).labels
+    except Exception as exc:
+        return type(exc), exc.args
+
+
+def _check_form(stage, values):
+    rule = stage.rule
+    try:
+        expected = list(map(rule, zip(values, values[1:])))
+    except Exception as exc:
+        expected = exc
+    inputs = [tuple(values), list(values)]
+    if all(0 <= x < 256 for x in values):
+        inputs.append(bytes(values))
+    colours = all(isinstance(x, int) and 1 <= x <= stage.in_palette.size for x in values)
+    for seq in inputs:
+        out = rule.over(seq)
+        assert out is None or (type(out) is bytes and list(out) == expected)
+        assert out is None or colours  # a colour outside 1..n is the rule's to handle
+    if len(values) >= 2:
+        # The same stage without its form: today's outputs or today's error.
+        plain = dataclasses.replace(stage, rule=lambda w: rule(w))
+        assert _outcome(stage, values) == _outcome(plain, values)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(_FORM_CASES), st.data())
+def test_sequence_forms_match_the_rule(case, data):
+    kind, n, k = case
+    stage = _form_stage(kind, n, k)
+    colour = st.one_of(
+        st.integers(1, n), st.sampled_from([1, n, 0, -1, n + 1, 255, 256, 2**64, True])
+    )
+    values = data.draw(st.lists(colour, max_size=24))
+    for i in data.draw(st.lists(st.integers(1, 23), max_size=3)):
+        if i < len(values):
+            values[i] = values[i - 1]  # equal neighbours
+    _check_form(stage, values)
+
+
+def test_sequence_forms_take_proper_sequences():
+    # Proper input in range: every form answers, whatever the input type.
+    for kind, n, k in _FORM_CASES:
+        rule = _form_stage(kind, n, k).rule
+        values = random_proper_instance(n, 200, seed=k).labels
+        expected = list(map(rule, zip(values, values[1:])))
+        for seq in (values, list(values)):
+            assert list(rule.over(seq)) == expected
+        if n < 256:
+            assert list(rule.over(bytes(values))) == expected
+
+
+def test_sequence_form_at_the_mask_list_limit():
+    limit = reduce_module._MASK_LIST_LIMIT
+    assert not hasattr(ns_algorithm(limit + 1, 12).rule, "over")  # masks unranked per colour
+    stage = ns_algorithm(limit, 12)
+    values = list(random_proper_instance(limit, 300, seed=12).labels)
+    assert stage.rule.over(values) is not None
+    for bad in ([], [limit, 1, limit, limit - 1], [3, 0, 5], [1, limit + 1], [7, 7, 2], [2, -1]):
+        _check_form(stage, values[:20] + bad)

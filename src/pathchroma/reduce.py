@@ -87,11 +87,23 @@ def _colex_masks(k: int, count: int) -> list[int]:
     (j-1)-subsets, each with bit a-1 added, so every level of j-subsets is
     a run of blocks cut from the level below.  A level is kept as bytes of
     fixed-width lanes, and one big-int OR adds the bit to a whole block.
+    Masks wider than 64 bits step Gosper's hack instead: for a small count
+    the k levels would hold up to k lanes of k bits each, where the hack
+    takes count steps.
     """
     top = k  # every one of the count subsets lies within bits 0..top-1
     while comb(top, k) < count:
         top += 1
-    width = _lane_width(-(-top // 8)) or -(-top // 8)
+    width = _lane_width(-(-top // 8))
+    if width is None:
+        masks = []
+        x = (1 << k) - 1
+        for _ in range(count):
+            masks.append(x)
+            low = x & -x
+            high = x + low
+            x = (((high ^ x) >> 2) // low) | high
+        return masks
     order = sys.byteorder
     level = bytes(width)  # the one 0-subset
     for j in range(1, k + 1):
@@ -106,9 +118,7 @@ def _colex_masks(k: int, count: int) -> list[int]:
             blocks.append(block.to_bytes(size * width, "little"))
             size = size * a // (a - j + 1)
         level = b"".join(blocks)
-    if width in _TYPECODES:
-        return array(_TYPECODES[width], level).tolist()
-    return [int.from_bytes(level[i : i + width], order) for i in range(0, len(level), width)]
+    return array(_TYPECODES[width], level).tolist()
 
 
 def _plane(lanes: bytes, width: int, p: int) -> bytes:
@@ -279,19 +289,21 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     if isinstance(n, int) and n <= _MASK_LIST_LIMIT:
         masks: list[int] | None = None
 
-        def rule(window: ColourWindow) -> int:
+        def built() -> list[int]:
             nonlocal masks
             if masks is None:
                 masks = [0, *_colex_masks(k, n)]  # masks[c] is colour c's subset
+            return masks
+
+        def rule(window: ColourWindow) -> int:
+            if masks is None:
+                built()
             u, v = window
             d = masks[u] & ~masks[v]
             return (d & -d).bit_length()
 
         def over(seq) -> bytes | None:
-            nonlocal masks
-            if masks is None:
-                masks = [0, *_colex_masks(k, n)]
-            return _subset_minima(seq, masks, n, k)
+            return _subset_minima(seq, built(), n, k)
 
         # An attribute, not a field: a replaced or wrapped rule has no form.
         rule.over = over

@@ -93,7 +93,7 @@ def _mask(members):
 
 
 def test_colex_masks_follow_colex_rank_order():
-    # The block build shares no code with the unranker's binomial steps.
+    # The mask builds share no code with the unranker's binomial steps.
     for k in range(1, 7):
         for m in range(k, 13):
             count = comb(m, k)
@@ -103,6 +103,22 @@ def test_colex_masks_follow_colex_rank_order():
     for rank in random.Random(20).sample(range(1, comb(20, 10) + 1), 2000):
         assert masks[rank - 1] == _mask(colex_unrank(rank, 10, 20))
         assert masks[rank - 1] == _colex_unrank_mask(rank, 10, 20)
+
+
+def test_colex_masks_wider_than_a_lane():
+    # C(64, 62) = 2016 masks fit 64-bit lanes; the 2017th needs bit 64, so
+    # 3000 masks take the Gosper step.  Both agree with the unranker.
+    for count in (2016, 3000):
+        masks = _colex_masks(62, count)
+        assert masks == [_colex_unrank_mask(rank, 62, 66) for rank in range(1, count + 1)]
+    # A small palette with a large k builds count masks, not k levels of lanes.
+    assert _colex_masks(10**4, 5) == [_colex_unrank_mask(r, 10**4, 10**4 + 1) for r in range(1, 6)]
+    rule = ns_algorithm(5, 10**4).rule
+    values = (1, 5, 2, 4, 3, 1, 2)
+    assert rule.over(values) is None  # lanes wider than 8 bytes
+    masks = [_colex_unrank_mask(c, 10**4, 2 * 10**4) for c in values]
+    expected = [((u & ~v) & -(u & ~v)).bit_length() for u, v in zip(masks, masks[1:])]
+    assert list(map(rule, zip(values, values[1:]))) == expected
 
 
 def test_unranker_on_wide_subsets():

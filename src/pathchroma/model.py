@@ -17,7 +17,7 @@ import functools
 import itertools
 import random
 from dataclasses import dataclass
-from math import log2
+from math import inf, log2
 from operator import eq
 from typing import Callable, Iterator
 
@@ -140,8 +140,8 @@ def log_star(x: int | float | TowerValue) -> int:
     if isinstance(x, TowerValue):
         return x.height + (1 if x.offset else 0)
     if isinstance(x, float):
-        if x < 1:
-            raise ValueError("log_star requires x >= 1")
+        if not 1 <= x < inf:  # nan fails both comparisons
+            raise ValueError("log_star requires a finite x >= 1")
         i = 0
         while x > 1:
             x = log2(x)
@@ -206,9 +206,12 @@ def is_proper(instance: PathInstance) -> bool:
 class ReductionAlgorithm:
     """A colour-reduction rule together with its round count and palettes.
 
-    ``rule`` maps a valid window (adjacent entries distinct, correct length)
-    to an output colour.  The properness contract -- overlapping windows get
-    distinct outputs -- is checkable with :func:`exhaustive_properness_check`.
+    ``rule`` maps a valid window (entries in the input palette, adjacent
+    entries distinct, correct length) to an output colour.  It is defined
+    on valid windows only and need not check them; ``run_algorithm``
+    checks the input of every stage before the stage runs.  The properness
+    contract -- overlapping windows get distinct outputs -- is checkable
+    with :func:`exhaustive_properness_check`.
     ``stages`` is set for composed pipelines so the simulator can evaluate
     stage by stage instead of re-running the full composition per node.
     """
@@ -275,56 +278,52 @@ class _WindowTable(dict):
         return value
 
 
-def _colour_bytes(seq, n: int) -> bytes | None:
-    """``seq`` as bytes, or None if some entry is not an int in 1..n (n <= 255)."""
-    if not isinstance(seq, bytes):
-        try:
-            seq = bytes(seq)
-        except (TypeError, ValueError):  # a colour that is no int in 0..255
-            return None
-    if seq.translate(None, bytes(range(1, n + 1))):  # a colour outside 1..n is left
-        return None
-    return seq
+def _is_proper_colouring(seq, n: int | TowerValue) -> bool:
+    """True iff every entry of ``seq`` is an int in 1..n and no two neighbours are equal.
 
-
-def _byte_stage(seq, rule: Callable[[ColourWindow], int], n: int, wl: int) -> bytes | None:
-    """One table stage over a whole sequence, in C, for n**wl <= 256.
-
-    Window w has the mixed-radix code sum((w[i] - 1) * n**(wl - 1 - i)),
-    below 256, so one byte holds it.  The codes of all windows come from
-    big-integer arithmetic on the shifted sequences: the exact result has
-    code j in byte j, whatever carries the steps make on the way.  A
-    256-byte table filled once over ``proper_sequences`` then turns the
-    codes into outputs with one ``bytes.translate``.
-
-    Returns None where only the window table gives today's outputs and
-    errors: an input colour outside 1..n, a rule that raises or returns
-    anything but an int in 1..255 on some window (present or not), or an
-    input window with two equal adjacent colours (code outside the table,
-    read as 0).
+    Bytes are checked in C: one ``translate`` deletes the colours 1..n, and
+    a zero byte in the XOR of ``seq`` and ``seq`` shifted by one marks
+    equal neighbours.
     """
-    seq = _colour_bytes(seq, n)
-    if seq is None:
-        return None
+    if isinstance(seq, bytes):
+        m = len(seq) - 1
+        pairs = int.from_bytes(seq[:m], "big") ^ int.from_bytes(seq[1:], "big")
+        in_range = not seq.translate(None, bytes(range(1, min(n, 255) + 1)))
+        return in_range and 0 not in pairs.to_bytes(m, "big")
+    return (
+        all(map(isinstance, seq, itertools.repeat(int)))
+        and 1 <= min(seq)
+        and max(seq) <= n
+        and not any(map(eq, seq, itertools.islice(seq, 1, None)))
+    )
+
+
+def _byte_stage(seq, rule: Callable[[ColourWindow], int], n: int, wl: int) -> bytes:
+    """One table stage over a whole sequence, in C, for n < 256 and n**wl <= 256.
+
+    ``seq`` is a proper colouring in 1..n, so window w has the mixed-radix
+    code sum((w[i] - 1) * n**(wl - 1 - i)), below 256, and one byte holds
+    it.  The codes of all windows come from big-integer arithmetic on the
+    shifted sequences: the exact result has code j in byte j, whatever
+    carries the steps make on the way.  A 256-byte table filled once over
+    ``proper_sequences`` then turns the codes into outputs with one
+    ``bytes.translate``.  The rule is called on every valid window, present
+    in ``seq`` or not, as ``exhaustive_properness_check`` calls it, and each
+    of its values must fit a byte.
+    """
+    seq = bytes(seq)
     table = bytearray(256)
     for window in proper_sequences(n, wl):
-        try:
-            value = rule(window)
-        except Exception:  # the window table calls the rule again where it is due
-            return None
-        if type(value) is not int or not 0 < value < 256:
-            return None
         code = 0
         for x in window:
             code = code * n + x - 1
-        table[code] = value
+        table[code] = rule(window)
     m = len(seq) - wl + 1
     ones = int.from_bytes(b"\x01" * m, "big")
     codes = int.from_bytes(seq[:m], "big") - ones
     for i in range(1, wl):
         codes = codes * n + int.from_bytes(seq[i : i + m], "big") - ones
-    out = codes.to_bytes(m, "big").translate(table)
-    return None if 0 in out else out
+    return codes.to_bytes(m, "big").translate(table)
 
 
 def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstance:
@@ -334,16 +333,18 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     simulated by the virtual-extension rule (prev(x) = 1 unless x = 1, then
     2), applied backwards from the head and mirrored past the tail.
 
-    Each stage takes the first of three paths that gives an answer.  A
-    one-round stage whose rule has a sequence form, ``rule.over(seq)``,
-    gets its outputs from that form as bytes (``ns_algorithm`` and
-    ``cv_algorithm`` give their rules one).  A stage with no more valid
-    windows than the instance has nodes is evaluated through a table, once
-    per valid window (``_byte_stage``) when at most 256 window codes exist,
-    else once per distinct window (``_WindowTable``).  Any other stage calls
-    its rule at every node.  A form or the byte table declines (None) every
-    input on which only the rule gives today's outputs and errors, so all
-    paths give the same labels.
+    Every stage is defined on a proper colouring over its input palette
+    only.  The instance is checked for the first stage; each later stage's
+    input, the output of the stage before it, is checked before it runs,
+    and a ValueError names the stage whose input fails.  Each stage then
+    takes one path, chosen before it runs.  A one-round stage whose rule
+    has a sequence form, ``rule.over(seq)``, gets its outputs from that
+    form as bytes (``ns_algorithm`` and ``cv_algorithm`` give their rules
+    one where its lanes fit 8 bytes).  A stage with no more valid windows
+    than the instance has nodes is evaluated through a table: once per
+    valid window (``_byte_stage``) when its colours and outputs fit a byte
+    and at most 256 window codes exist, else once per distinct window
+    (``_WindowTable``).  Any other stage calls its rule at every node.
     """
     labels = instance.labels
     # PathInstance holds ints >= 1 only, so the largest label decides.
@@ -362,23 +363,24 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     else:
         seq = _virtual_run(labels[0], before)[::-1] + list(labels) + _virtual_run(labels[-1], after)
 
-    for stage in alg.stages or (alg,):
+    for i, stage in enumerate(alg.stages or (alg,)):
+        n = stage.in_palette.size
+        if i and not _is_proper_colouring(seq, n):
+            raise ValueError(
+                f"the input of stage {stage.name} is not a proper colouring"
+                f" over {stage.in_palette} colours"
+            )
         wl = stage.window_length
         rule = stage.rule
-        over = getattr(rule, "over", None)
-        if over is not None and wl == 2:
-            out = over(seq)
-            if out is not None:
-                seq = out
-                continue
-        n = stage.in_palette.size
+        if wl == 2 and hasattr(rule, "over"):
+            seq = rule.over(seq)
+            continue
         if isinstance(n, int) and count_proper_sequences(n, wl) <= length:
-            out = _byte_stage(seq, rule, n, wl) if n**wl <= 256 else None
-            if out is not None:
-                seq = out
+            if n < 256 and n**wl <= 256 and stage.out_palette.size <= 255:
+                seq = _byte_stage(seq, rule, n, wl)
                 continue
             rule = _WindowTable(rule).__getitem__
-        seq = list(map(rule, zip(*(seq[i:] for i in range(wl)))))
+        seq = list(map(rule, zip(*(seq[j:] for j in range(wl)))))
     assert len(seq) == length
     return PathInstance(instance.topology, tuple(seq))
 

@@ -23,7 +23,6 @@ from .model import (
     ReductionAlgorithm,
     TowerValue,
     ColourWindow,
-    _colour_bytes,
     format_count,
     identity_algorithm,
     tower,
@@ -137,64 +136,42 @@ def _lowest_plane(values: list[bytes]) -> bytes:
     return out.to_bytes(len(values[0]), "little")
 
 
-def _subset_minima(seq, masks: list[int], n: int, k: int) -> bytes | None:
+def _subset_minima(seq, masks: list[int], n: int, k: int) -> bytes:
     """The ns rule on every pair of adjacent colours in ``seq``, as bytes.
 
-    The masks of all colours are gathered into lanes, ``u & ~v`` is one
-    big-int operation over all pairs, and the lowest set bit of each lane
-    comes from one 256-byte translate per byte plane.  Returns None where
-    the rule alone gives the outputs and errors: a colour that is not an
-    int in 1..n, fewer than two colours, or masks wider than 8 bytes.
+    ``seq`` is a proper colouring in 1..n, and k <= 32, so each 2k-bit mask
+    fits an 8-byte lane.  The masks of all colours are gathered into lanes,
+    ``u & ~v`` is one big-int operation over all pairs, and the lowest set
+    bit of each lane comes from one 256-byte translate per byte plane.
     """
     planes = -(-k // 4)  # bytes of a 2k-bit mask
-    if len(seq) < 2:
-        return None
     if planes == 1:  # n <= C(8, 4): one translate gathers the masks
-        codes = _colour_bytes(seq, n)
-        if codes is None:
-            return None
-        lanes, width = codes.translate(bytes(masks) + bytes(255 - n)), 1
+        lanes, width = bytes(seq).translate(bytes(masks) + bytes(255 - n)), 1
     else:
         width = _lane_width(planes)
-        if width is None:
-            return None
-        try:
-            gathered = itemgetter(*seq)(masks)
-            if min(seq) < 1:  # the gather took colour 0 or wrapped a negative one
-                return None
-        except (TypeError, IndexError):
-            return None
-        lanes = array(_TYPECODES[width], gathered).tobytes()
+        lanes = array(_TYPECODES[width], itemgetter(*seq)(masks)).tobytes()
     u = int.from_bytes(lanes[:-width], "little")
     v = int.from_bytes(lanes[width:], "little")
     d = ((u | v) ^ v).to_bytes(len(lanes) - width, "little")  # u & ~v
     return _lowest_plane([_plane(d, width, p).translate(_LOW[p]) for p in range(planes)])
 
 
-def _bit_pairs(seq, k: int) -> bytes | None:
+def _bit_pairs(seq, k: int) -> bytes:
     """The cv rule on every pair of adjacent colours in ``seq``, as bytes.
 
-    The colours go into lanes wide enough for 2^k, one subtraction makes
-    them u - 1, one XOR gives every pair's differing bits, and the planes
-    of those and of v - 1 give the lowest differing bit and v - 1's bit
-    there.  Returns None where the rule alone gives the outputs and errors:
-    a colour that is not an int in 1..2^k, equal neighbours (the rule
-    raises on them), fewer than two colours, or lanes wider than 8 bytes.
+    ``seq`` is a proper colouring in 1..2^k, and k <= 63, so each colour
+    fits an 8-byte lane.  The colours go into lanes wide enough for 2^k,
+    one subtraction makes them u - 1, one XOR gives every pair's differing
+    bits, and the planes of those and of v - 1 give the lowest differing
+    bit and v - 1's bit there.
     """
     width = _lane_width(k // 8 + 1)  # k + 1 bits
-    if width is None or len(seq) < 2:
-        return None
     typecode = _TYPECODES[width]
-    try:  # array() would read bytes as raw machine items, not as colours
-        lanes = array(typecode, seq if isinstance(seq, (list, tuple)) else list(seq))
-    except (TypeError, OverflowError):  # not an int, or one below 0 or too wide
-        return None
+    # array() would read bytes as raw machine items, not as colours
+    lanes = array(typecode, seq if isinstance(seq, (list, tuple)) else list(seq))
     order = sys.byteorder
     ones = int.from_bytes(array(typecode, [1]).tobytes() * len(lanes), order)
     lowered = int.from_bytes(lanes, order) - ones  # colour - 1 in every lane
-    # The lowest lane outside 1..2^k gets no borrow and keeps a bit at k or above.
-    if lowered < 0 or lowered & ones * ((1 << 8 * width) - (1 << k)):
-        return None
     lanes = lowered.to_bytes(len(lanes) * width, order)
     v = lanes[width:]
     diff = int.from_bytes(lanes[:-width], "little") ^ int.from_bytes(v, "little")
@@ -209,8 +186,7 @@ def _bit_pairs(seq, k: int) -> bytes | None:
         bit = bit.to_bytes(len(d), "little").translate(_ONE)  # that bit of v - 1
         value = int.from_bytes(low, "little") + int.from_bytes(bit, "little")
         values.append(value.to_bytes(len(d), "little"))
-    out = _lowest_plane(values)
-    return None if 0 in out else out
+    return _lowest_plane(values)
 
 
 def _fits_subset_code(n: int | TowerValue, k: int) -> bool:
@@ -273,12 +249,17 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     with colour v receiving u from its predecessor outputs min f(u) \\ f(v).
     Evaluated in closed form.  For palettes of at most 2^20 colours the first
     call builds the masks of all n colours at once and publishes the
-    finished list, so concurrent callers at worst build it twice; the rule
-    then has a sequence form, ``rule.over(seq)``, that the simulator runs
-    over all nodes at once (``_subset_minima``).  Larger palettes cache
-    masks per colour in a ``functools.lru_cache``.  The rule of a symbolic
-    palette (tower height 6 and up) raises ValueError: its masks would not
-    fit in memory.
+    finished list, so concurrent callers at worst build it twice; for
+    k <= 32 the rule then has a sequence form, ``rule.over(seq)``, that the
+    simulator runs over all nodes at once (``_subset_minima``).  Larger
+    palettes cache masks per colour in a ``functools.lru_cache``.  The rule
+    of a symbolic palette (tower height 6 and up) raises ValueError: its
+    masks would not fit in memory.
+
+    The rule and its form are defined on valid windows only, two distinct
+    colours in 1..n, and do not check them: the tower's level 0 and
+    ``exhaustive_properness_check`` call the rule once per valid window,
+    and ``run_algorithm`` checks each stage's input before the stage runs.
     """
     n = _exact_if_fits(n)
     if k < 2:
@@ -302,11 +283,13 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
             d = masks[u] & ~masks[v]
             return (d & -d).bit_length()
 
-        def over(seq) -> bytes | None:
-            return _subset_minima(seq, built(), n, k)
+        if k <= 32:  # 2k-bit masks fit 8-byte lanes
 
-        # An attribute, not a field: a replaced or wrapped rule has no form.
-        rule.over = over
+            def over(seq) -> bytes:
+                return _subset_minima(seq, built(), n, k)
+
+            # An attribute, not a field: a replaced or wrapped rule has no form.
+            rule.over = over
 
     elif isinstance(n, int):
         mask = lru_cache(maxsize=None)(partial(_colex_unrank_mask, k=k, m=2 * k))
@@ -336,8 +319,10 @@ def cv_algorithm(k: int) -> ReductionAlgorithm:
     A node with colour v receiving u outputs 2i + b + 1 where i is the
     lowest bit position at which u-1 and v-1 differ and b is that bit of
     v-1; overlapping windows disagree because the successor's bit flips.
-    The rule has a sequence form, ``rule.over(seq)``, that the simulator
-    runs over all nodes at once (``_bit_pairs``).
+    For k <= 63 the rule has a sequence form, ``rule.over(seq)``, that the
+    simulator runs over all nodes at once (``_bit_pairs``).  Like the ns
+    rule, both are defined on valid windows only, two distinct colours in
+    1..2^k, and do not check them.
     """
     if k < 3:
         raise ValueError("bit-pairing reduction needs k >= 3")
@@ -349,7 +334,8 @@ def cv_algorithm(k: int) -> ReductionAlgorithm:
         b = (v - 1) >> i & 1
         return 2 * i + b + 1
 
-    rule.over = partial(_bit_pairs, k=k)
+    if k <= 63:  # colours up to 2^k fit 8-byte lanes
+        rule.over = partial(_bit_pairs, k=k)
 
     return ReductionAlgorithm(
         ONE_SIDED, 1, Palette(2**k), Palette(2 * k), rule, name=f"cv k={k}"

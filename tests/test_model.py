@@ -41,6 +41,7 @@ from pathchroma.reduce import (
     ns_schedule,
     shift_reduce,
 )
+from pathchroma.speedup import compose_colouring
 
 
 def test_log_star_small_values():
@@ -64,6 +65,9 @@ def test_log_star_rejects_below_one():
         log_star(0)
     with pytest.raises(ValueError):
         log_star(0.5)
+    for x in (float("inf"), float("nan")):  # log2(inf) is inf; nan fails every comparison
+        with pytest.raises(ValueError):
+            log_star(x)
 
 
 @given(st.integers(min_value=2, max_value=20000))
@@ -512,6 +516,8 @@ def _lying_identity():
 
 @pytest.mark.parametrize("topology", [CYCLE, PATH])
 def test_byte_stage_falls_back_on_colours_it_cannot_code(topology):
+    # Both first stages hand 4to3 bytes that are no proper colouring over its
+    # 4 colours, so no path can code them: the run stops before 4to3.
     lying = _lying_identity()
     # This one outputs equal neighbours, windows outside proper_sequences.
     merging = ReductionAlgorithm(
@@ -520,23 +526,34 @@ def test_byte_stage_falls_back_on_colours_it_cannot_code(topology):
     for first, n in ((lying, 5), (merging, 4)):
         alg = compose([first, four_to_three()])
         instance = random_proper_instance(n, 300, seed=2, topology=topology)
-        out = run_algorithm(alg, instance)
-        assert out.labels == _reference_run(alg, instance)
-        assert (5 in out.labels) == (first is lying)  # 4to3 keeps a middle 5
+        with pytest.raises(ValueError, match="stage 4to3 is not a proper colouring"):
+            run_algorithm(alg, instance)
 
 
 def test_byte_stage_range_check_catches_an_aliased_code():
     # A 5 only in the last window, (3, 1, 5), whose overflowing code is that
-    # of the proper window (3, 2, 1): only the range check sees it.
+    # of the proper window (3, 2, 1): the range check on 4to3's input sees it.
     alg = compose([_lying_identity(), four_to_three()])
     instance = PathInstance(PATH, (1, 2, 3, 4) * 9 + (3, 1, 5))
-    assert run_algorithm(alg, instance).labels[-1] == 1 == _reference_run(alg, instance)[-1]
+    with pytest.raises(ValueError, match="stage 4to3 is not a proper colouring"):
+        run_algorithm(alg, instance)
 
 
+# The byte table calls the rule on every valid window, present or not: a
+# value that fits a byte on an absent window is never read, anything else
+# raises as the rule or the table does.
 @pytest.mark.parametrize(
-    "bad", [LookupError("absent"), 0, 256, True, "x"], ids=["raises", "0", "256", "bool", "str"]
+    "bad, error",
+    [
+        (LookupError("absent"), LookupError),
+        (0, None),
+        (256, ValueError),
+        (True, None),
+        ("x", TypeError),
+    ],
+    ids=["raises", "0", "256", "bool", "str"],
 )
-def test_rule_misbehaving_on_absent_window_changes_nothing(bad):
+def test_rule_misbehaving_on_absent_window_changes_nothing(bad, error):
     base = four_to_three().rule
 
     def rule(window):
@@ -548,7 +565,11 @@ def test_rule_misbehaving_on_absent_window_changes_nothing(bad):
 
     stage = dataclasses.replace(four_to_three(), rule=rule)
     instance = _four_cycle(25)
-    assert run_algorithm(stage, instance).labels == _reference_run(four_to_three(), instance)
+    if error is None:
+        assert run_algorithm(stage, instance).labels == _reference_run(four_to_three(), instance)
+    else:
+        with pytest.raises(error):
+            run_algorithm(stage, instance)
 
 
 def test_rule_raising_on_present_window_raises_as_the_window_table_does():
@@ -563,8 +584,52 @@ def test_rule_raising_on_present_window_raises_as_the_window_table_does():
     stage = dataclasses.replace(four_to_three(), rule=rule)
     with pytest.raises(LookupError) as raised:
         run_algorithm(stage, _four_cycle(25))
-    assert raised.value.args == ((3, 4, 1),)
+    assert raised.value.args == ((2, 3, 4),)  # the byte table's first window
     # a value that is no colour reaches the output check, as before
     stage = dataclasses.replace(four_to_three(), rule=lambda w: 0 if w == (1, 2, 3) else base(w))
     with pytest.raises(ValueError, match="positive integers"):
         run_algorithm(stage, _four_cycle(25))
+
+
+def _spy_paths(monkeypatch):
+    taken = []
+    byte_stage, window_table = model._byte_stage, model._WindowTable
+
+    def spy_byte_stage(*args):
+        taken.append("byte table")
+        return byte_stage(*args)
+
+    def spy_window_table(rule):
+        taken.append("window table")
+        return window_table(rule)
+
+    monkeypatch.setattr(model, "_byte_stage", spy_byte_stage)
+    monkeypatch.setattr(model, "_WindowTable", spy_window_table)
+    return taken
+
+
+def _formless(stage):
+    # A wrapped rule carries no sequence form.
+    return dataclasses.replace(stage, rule=lambda w: stage.rule(w))
+
+
+@pytest.mark.parametrize(
+    "alg, instance, path",
+    [
+        # 256 window codes, but colour 256 is no byte
+        (identity_algorithm(256), PathInstance(CYCLE, tuple(range(1, 257)) * 2), "window"),
+        # 16**2 = 256 window codes, the most a byte table holds
+        (_formless(cv_algorithm(4)), random_proper_instance(16, 1000, seed=16), "byte"),
+        # 4**3 = 64 window codes, but outputs up to 300 are no bytes
+        (
+            compose_colouring({1: 300, 2: 1, 3: 150}, four_to_three()),
+            random_proper_instance(4, 1000, seed=4),
+            "window",
+        ),
+    ],
+    ids=["identity(256)", "one round on 16", "recolour to 300"],
+)
+def test_stage_path_is_chosen_from_its_palettes(alg, instance, path, monkeypatch):
+    taken = _spy_paths(monkeypatch)
+    assert run_algorithm(alg, instance).labels == _reference_run(alg, instance)
+    assert taken == [f"{path} table"]

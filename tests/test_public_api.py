@@ -53,3 +53,73 @@ def test_module_layering():
                 targets = [node.module] if node.module else [a.name for a in node.names]
                 upward += [(module, t) for t in targets if LAYERS.index(t) >= rank]
     assert upward == []
+
+
+def _trees(*dirs):
+    return {path: ast.parse(path.read_text()) for d in dirs for path in sorted(d.glob("*.py"))}
+
+
+def _reads(node):
+    """Identifiers a statement reads: names, attributes, imported names and identifier strings.
+
+    Identifier strings cover ``__all__`` and names passed to ``getattr`` or
+    ``monkeypatch.setattr``.
+    """
+    out = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            out.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            out.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            out.update(alias.name for alias in sub.names)
+        elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
+            if sub.value.isidentifier():
+                out.add(sub.value)
+    return out
+
+
+def test_no_unused_imports():
+    # An import that a deletion leaves behind fails here.
+    unused = []
+    for path, tree in _trees(PACKAGE, Path(__file__).resolve().parent).items():
+        bound = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound += [alias.asname or alias.name for alias in node.names]
+        read = {sub.id for sub in ast.walk(tree) if isinstance(sub, ast.Name)}
+        for node in tree.body:  # names re-exported through __all__
+            if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "__all__":
+                read.update(ast.literal_eval(node.value))
+        unused += [f"{path.name}: {name}" for name in bound if name not in read]
+    assert unused == []
+
+
+def test_every_module_level_name_is_referenced():
+    # A module-level name in the package must be read by some other
+    # top-level statement of the package, the tests or perfbench.
+    repo = PACKAGE.parent.parent
+    trees = _trees(PACKAGE, repo / "tests", repo / "perfbench")
+    readers: dict[str, set] = {}
+    for path, tree in trees.items():
+        for i, node in enumerate(tree.body):
+            for name in _reads(node):
+                readers.setdefault(name, set()).add((path, i))
+    orphans = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for i, node in enumerate(tree.body):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+            else:
+                continue
+            for name in names:
+                if not name.startswith("__") and not readers.get(name, set()) - {(path, i)}:
+                    orphans.append(f"{path.name}: {name}")
+    assert orphans == []

@@ -115,7 +115,7 @@ def test_colex_masks_wider_than_a_lane():
     assert _colex_masks(10**4, 5) == [_colex_unrank_mask(r, 10**4, 10**4 + 1) for r in range(1, 6)]
     rule = ns_algorithm(5, 10**4).rule
     values = (1, 5, 2, 4, 3, 1, 2)
-    assert rule.over(values) is None  # lanes wider than 8 bytes
+    assert not hasattr(rule, "over")  # masks wider than 8-byte lanes get no form
     masks = [_colex_unrank_mask(c, 10**4, 2 * 10**4) for c in values]
     expected = [((u & ~v) & -(u & ~v)).bit_length() for u, v in zip(masks, masks[1:])]
     assert list(map(rule, zip(values, values[1:]))) == expected
@@ -177,6 +177,23 @@ def test_ns_simulation_frozen_cycle():
     out = run_algorithm(ns_algorithm(6, 2), inst)
     assert out.labels == (3, 2, 1, 2, 1, 2)
     assert is_proper(out) and all(1 <= x <= 4 for x in out.labels)
+
+
+@pytest.mark.parametrize("bad", [0, 21, -1])
+def test_ns_stage_input_outside_its_palette_raises(bad):
+    # The ns rule does not check its colours: it reads -1 as colour 20
+    # through masks[-1] and gives 0 for colour 0.  The stage's input check
+    # stops the run before the rule sees them.
+    lying = ReductionAlgorithm(
+        ONE_SIDED, 0, Palette(20), Palette(20), lambda w: bad if w[0] == 5 else w[0], name="lying"
+    )
+    alg = compose([lying, ns_algorithm(20, 3)])
+    # 10 nodes: the lying stage is called per node and hands on a list.
+    with pytest.raises(ValueError, match="stage ns k=3 is not a proper colouring"):
+        run_algorithm(alg, PathInstance(PATH, tuple(range(1, 11))))
+    # 40 nodes: its byte table hands on bytes, or cannot store -1.
+    with pytest.raises(ValueError):
+        run_algorithm(alg, PathInstance(PATH, tuple(range(1, 21)) * 2))
 
 
 def test_cv_rule_values():
@@ -441,22 +458,20 @@ def _outcome(stage, values):
 
 def _check_form(stage, values):
     rule = stage.rule
-    try:
+    n = stage.in_palette.size
+    if len(values) < 2:
+        return
+    if all(x in Palette(n) for x in values) and is_proper(PathInstance(PATH, tuple(values))):
+        # The form is defined on proper colourings in 1..n, as the rule is.
         expected = list(map(rule, zip(values, values[1:])))
-    except Exception as exc:
-        expected = exc
-    inputs = [tuple(values), list(values)]
-    if all(0 <= x < 256 for x in values):
-        inputs.append(bytes(values))
-    colours = all(isinstance(x, int) and 1 <= x <= stage.in_palette.size for x in values)
-    for seq in inputs:
-        out = rule.over(seq)
-        assert out is None or (type(out) is bytes and list(out) == expected)
-        assert out is None or colours  # a colour outside 1..n is the rule's to handle
-    if len(values) >= 2:
-        # The same stage without its form: today's outputs or today's error.
-        plain = dataclasses.replace(stage, rule=lambda w: rule(w))
-        assert _outcome(stage, values) == _outcome(plain, values)
+        inputs = [tuple(values), list(values)] + ([bytes(values)] if n < 256 else [])
+        for seq in inputs:
+            out = rule.over(seq)
+            assert type(out) is bytes and list(out) == expected
+    # The same stage without its form: the same outputs, or on any other
+    # input the same error, raised before the stage runs.
+    plain = dataclasses.replace(stage, rule=lambda w: rule(w))
+    assert _outcome(stage, values) == _outcome(plain, values)
 
 
 @settings(max_examples=300, deadline=None)
@@ -491,6 +506,6 @@ def test_sequence_form_at_the_mask_list_limit():
     assert not hasattr(ns_algorithm(limit + 1, 12).rule, "over")  # masks unranked per colour
     stage = ns_algorithm(limit, 12)
     values = list(random_proper_instance(limit, 300, seed=12).labels)
-    assert stage.rule.over(values) is not None
+    assert list(stage.rule.over(values)) == list(map(stage.rule, zip(values, values[1:])))
     for bad in ([], [limit, 1, limit, limit - 1], [3, 0, 5], [1, limit + 1], [7, 7, 2], [2, -1]):
         _check_form(stage, values[:20] + bad)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from math import inf, log2
 from operator import eq
@@ -298,7 +299,7 @@ def _is_proper_colouring(seq, n: int | TowerValue) -> bool:
     )
 
 
-def _byte_stage(seq, rule: Callable[[ColourWindow], int], n: int, wl: int) -> bytes:
+def _byte_stage(seq, stage: ReductionAlgorithm) -> bytes:
     """One table stage over a whole sequence, in C, for n < 256 and n**wl <= 256.
 
     ``seq`` is a proper colouring in 1..n, so window w has the mixed-radix
@@ -309,15 +310,22 @@ def _byte_stage(seq, rule: Callable[[ColourWindow], int], n: int, wl: int) -> by
     ``proper_sequences`` then turns the codes into outputs with one
     ``bytes.translate``.  The rule is called on every valid window, present
     in ``seq`` or not, as ``exhaustive_properness_check`` calls it, and each
-    of its values must fit a byte.
+    of its values must fit a byte, or a ValueError names the stage and window.
     """
+    rule, n, wl = stage.rule, stage.in_palette.size, stage.window_length
     seq = bytes(seq)
     table = bytearray(256)
     for window in proper_sequences(n, wl):
         code = 0
         for x in window:
             code = code * n + x - 1
-        table[code] = rule(window)
+        value = rule(window)
+        try:
+            table[code] = value
+        except (TypeError, ValueError):
+            raise ValueError(
+                f"stage {stage.name} gives {value!r} on window {window}, not a byte"
+            ) from None
     m = len(seq) - wl + 1
     ones = int.from_bytes(b"\x01" * m, "big")
     codes = int.from_bytes(seq[:m], "big") - ones
@@ -377,7 +385,7 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
             continue
         if isinstance(n, int) and count_proper_sequences(n, wl) <= length:
             if n < 256 and n**wl <= 256 and stage.out_palette.size <= 255:
-                seq = _byte_stage(seq, rule, n, wl)
+                seq = _byte_stage(seq, stage)
                 continue
             rule = _WindowTable(rule).__getitem__
         seq = list(map(rule, zip(*(seq[j:] for j in range(wl)))))
@@ -386,14 +394,34 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
 
 
 def proper_sequences(n: int, length: int) -> Iterator[ColourWindow]:
-    """All sequences over [n] of the given length with adjacent entries distinct."""
+    """All sequences over [n] of the given length with adjacent entries distinct.
+
+    In lexicographic order.  The first ``length - 2`` entries (at least one)
+    come from a digit loop; each of the last two is appended to every
+    shorter sequence as one of the precomputed one-tuples of the colours
+    unlike its last entry, one tuple concatenation per sequence, so the
+    nesting stays two deep at any length and the extra memory is O(n).
+    """
+    if length < 0:
+        raise ValueError("sequence length must be non-negative")
     if length == 0:
-        yield ()
-        return
-    if n == 1:
-        if length == 1:
-            yield (1,)
-        return
+        return iter(((),))
+    ones = [(y,) for y in range(1, n + 1)]
+
+    def extensions(prefix: ColourWindow) -> Iterator[ColourWindow]:
+        others = ones.copy()
+        del others[prefix[-1] - 1]
+        return map(prefix.__add__, others)
+
+    head = max(1, length - 2)
+    sequences = _digit_sequences(n, head)
+    for _ in range(length - head):
+        sequences = itertools.chain.from_iterable(map(extensions, sequences))
+    return sequences
+
+
+def _digit_sequences(n: int, length: int) -> Iterator[ColourWindow]:
+    # length >= 1; digit d of a later entry picks the d-th colour unlike the entry before
     for first in range(1, n + 1):
         for offsets in itertools.product(range(1, n), repeat=length - 1):
             seq = [first]
@@ -410,29 +438,63 @@ def count_proper_sequences(n: int, length: int) -> int:
     return n * (n - 1) ** (length - 1)
 
 
+# Window ranks.  With m = n - 1, the window (w1, ..., wL) has the rank whose
+# base-m digits after the leading w1 - 1 are d_i = w_i - 1 - (w_i > w_{i-1}),
+# the position of w_i among the colours unlike w_{i-1}.  That is its index
+# in proper_sequences(n, L), so the prefix w[:-1] of window r has rank r // m
+# and the m windows sharing a prefix are consecutive.
+
+
+def _suffix_ranks(n: int, longest: int) -> dict[int, array]:
+    """For each length L in 2..longest, the rank of w[1:] for every window w of length L.
+
+    Arrays are indexed by the rank of w.  Length 2 is read off the digits;
+    each longer length extends the one before it, as
+    suffix_L[r] = suffix_{L-1}[r // m] * m + r % m.
+    """
+    m = n - 1
+    code = "i" if count_proper_sequences(n, longest) < 1 << 31 else "q"
+    suffixes = {}
+    if longest >= 2:
+        suffix = array(code, (d + (d >= a) for a in range(n) for d in range(m)))
+        suffixes[2] = suffix
+        for length in range(3, longest + 1):
+            blocks = (range(s * m, s * m + m) for s in suffix)
+            suffix = suffixes[length] = array(code, itertools.chain.from_iterable(blocks))
+    return suffixes
+
+
 def window_graph(n: int, length: int, *, all_distinct: bool = False) -> tuple[tuple, frozenset]:
     """Windows over [n] of the given length and their one-step shift edges.
 
     Windows are the adjacent-distinct sequences in lexicographic order, or
     only the pairwise-distinct ones.  Edge (i, j), i < j, joins the windows
     of adjacent nodes (w and w[1:] + (y,)), so proper colourings of this
-    graph are exactly the proper rules on these windows.
+    graph are exactly the proper rules on these windows.  The edges come
+    from window ranks: the windows w[1:] + (y,) of a window of rank r are
+    the m = n - 1 ranks from suffix[r] * m, and a rank -> index list drops
+    those that are not pairwise distinct.
     """
-    windows = tuple(
-        w for w in proper_sequences(n, length) if not all_distinct or len(set(w)) == length
+    windows = tuple(proper_sequences(n, length))
+    if length < 2:  # every two windows of one colour are a shift apart
+        return windows, frozenset(itertools.combinations(range(len(windows)), 2))
+    m = n - 1
+    heads = [s * m for s in _suffix_ranks(n, length)[length]]
+    if all_distinct:
+        keep = list(map(eq, map(len, map(set, windows)), itertools.repeat(length)))
+        windows = tuple(itertools.compress(windows, keep))
+        index = [-1] * len(keep)
+        for i, r in enumerate(itertools.compress(range(len(keep)), keep)):
+            index[r] = i
+        heads = list(itertools.compress(heads, keep))
+    else:
+        index = list(range(len(windows)))  # one int object per window, shared by its edges
+    return windows, frozenset(
+        (i, j) if i < j else (j, i)
+        for i, head in enumerate(heads)
+        for j in index[head : head + m]
+        if j >= 0
     )
-    index = {w: i for i, w in enumerate(windows)}
-
-    def shift_edges():
-        for i, w in enumerate(windows):
-            stem = w[1:]
-            for y in range(1, n + 1):
-                j = index.get(stem + (y,))
-                if j is not None and j != i:
-                    yield (min(i, j), max(i, j))
-
-    # Straight into the frozenset: a set first would be a second copy.
-    return windows, frozenset(shift_edges())
 
 
 def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None = None) -> bool:

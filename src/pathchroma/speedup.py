@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from operator import floordiv, or_
@@ -28,6 +27,7 @@ from .model import (
     ReductionAlgorithm,
     ColourWindow,
     _WindowTable,
+    _suffix_ranks,
     canonical_label,
     count_proper_sequences,
     proper_sequences,
@@ -114,39 +114,15 @@ def speed_up(alg: ReductionAlgorithm) -> SpeedUpResult:
     return SpeedUpResult(_faster(alg, fast_rule), lambda rank: decode_family(rank, c))
 
 
-# Window ranks.  With m = n - 1, the window (w1, ..., wL) has the rank whose
-# base-m digits after the leading w1 - 1 are d_i = w_i - 1 - (w_i > w_{i-1}),
-# the position of w_i among the colours unlike w_{i-1}.  That is its index
-# in proper_sequences(n, L), so the prefix w[:-1] of window r has rank r // m
-# and the m windows sharing a prefix are consecutive.
-
-
-def _suffix_ranks(n: int, longest: int) -> dict[int, array]:
-    """For each length L in 2..longest, the rank of w[1:] for every window w of length L.
-
-    Arrays are indexed by the rank of w.  Length 2 is read off the digits;
-    each longer length extends the one before it, as
-    suffix_L[r] = suffix_{L-1}[r // m] * m + r % m.
-    """
-    m = n - 1
-    code = "i" if count_proper_sequences(n, longest) < 1 << 31 else "q"
-    suffixes = {}
-    if longest >= 2:
-        suffix = array(code, (d + (d >= a) for a in range(n) for d in range(m)))
-        suffixes[2] = suffix
-        for length in range(3, longest + 1):
-            blocks = (range(s * m, s * m + m) for s in suffix)
-            suffix = suffixes[length] = array(code, itertools.chain.from_iterable(blocks))
-    return suffixes
-
-
 class _RankTable(Mapping):
     """Read-only table over the windows of one length, stored by window rank.
 
-    ``values[r]`` is the output on the window of rank r, and ``suffix[r]``
-    (for windows of length 2 or more) the rank of its suffix among the
-    windows one shorter.  Iteration follows ``proper_sequences``; a key that
-    is not a window over [n] of this length raises KeyError.
+    A window's rank is its index in ``proper_sequences`` (see the window-rank
+    comment in ``model``).  ``values[r]`` is the output on the window of rank
+    r, and ``suffix[r]`` (for windows of length 2 or more) the rank of its
+    suffix among the windows one shorter.  Iteration follows
+    ``proper_sequences``; a key that is not a window over [n] of this length
+    raises KeyError.
     """
 
     __slots__ = ("n", "length", "values", "suffix")
@@ -200,6 +176,8 @@ def _level_zero(alg: ReductionAlgorithm, n: int, suffixes: Mapping[int, Sequence
     r drops i colours in front (i suffix steps) and t - i behind (division
     by m^(t-i)).  Overlapping windows thus share every stage output instead
     of recomputing it, as one call of the composed rule per window would.
+    Each later stage's input, the outputs of the stage before it, must be
+    ints in its input palette, or a ValueError names the stage.
     """
     first, *rest = alg.stages or (alg,)
     rule = first.rule
@@ -207,6 +185,14 @@ def _level_zero(alg: ReductionAlgorithm, n: int, suffixes: Mapping[int, Sequence
     values = [rule(w) for w in proper_sequences(n, length)]
     m = n - 1
     for stage in rest:
+        if not (
+            all(map(isinstance, values, itertools.repeat(int)))
+            and 1 <= min(values, default=1)
+            and max(values, default=1) <= stage.in_palette.size
+        ):
+            raise ValueError(
+                f"the input of stage {stage.name} does not lie in its {stage.in_palette} colours"
+            )
         t = stage.rounds
         length += t
         columns = []
@@ -460,15 +446,43 @@ def compose_colouring(
     )
 
 
+# Candidates per block of search_one_round_map: one bit each in an int.
+_BLOCK = 4096
+
+
+def _digit_masks(c: int, b: int) -> list[list[int]]:
+    """Bit sets over the tuples of ``product(range(c), repeat=b)``, one bit each in product order.
+
+    ``masks[k][x]`` holds the tuples whose coordinate k is x.
+    """
+    size = c**b
+    masks = []
+    for k in range(b):
+        run = c ** (b - 1 - k)  # consecutive tuples sharing coordinate k
+        copies = ((1 << size) - 1) // ((1 << c * run) - 1) if c else 0  # one per c * run bits
+        masks.append([(((1 << run) - 1) << x * run) * copies for x in range(c)])
+    return masks
+
+
 def search_one_round_map(n: int, c: int, *, budget: int | None = None) -> tuple[bool, int]:
     """Scan every map from ordered distinct pairs over [n] to [c].
 
     Returns (a proper one-round rule exists, candidates examined).  The scan
-    stops at the first proper candidate; refutations examine all c^(n(n-1)).
-    This is lemma 4's brute force taken literally, so it keeps its own
-    conflict list rather than the shared window graph: it is the
-    independent engine that colouring searches on that graph are
-    cross-checked against.
+    stops at the first proper candidate in ``itertools.product`` order;
+    refutations examine all c^(n(n-1)).  This is lemma 4's brute force taken
+    literally, so it keeps its own conflict list rather than the shared
+    window graph: it is the independent engine that colouring searches on
+    that graph are cross-checked against.
+
+    Every candidate is tested against every conflict, a block at a time.
+    The last b coordinates, with c^b <= ``_BLOCK``, vary fastest, so a block
+    holds the c^b candidates that share the other coordinates, its prefix,
+    and a set of them is one int with a bit per suffix.  Conflicts inside
+    the suffix give the set of suffixes that pass them, conflicts between a
+    prefix coordinate and the suffix a set per value of that coordinate,
+    and conflicts inside the prefix are tested on the prefix itself.  The
+    proper candidates of a block are the AND of its sets, and the first of
+    them is the lowest set bit.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
@@ -482,15 +496,35 @@ def search_one_round_map(n: int, c: int, *, budget: int | None = None) -> tuple[
     total = c ** len(pairs)
     if total > budget:
         raise BudgetExceeded(f"{total} candidate maps exceed budget {budget}")
-    examined = 0
-    for candidate in itertools.product(range(c), repeat=len(pairs)):
-        examined += 1
-        for i, j in conflicts:
-            if candidate[i] == candidate[j]:
+    b = 0
+    while b < len(pairs) and c ** (b + 1) <= _BLOCK:
+        b += 1
+    split = len(pairs) - b
+    equal = _digit_masks(c, b)
+    suffix_ok = (1 << c**b) - 1
+    compatible = [[suffix_ok] * c for _ in range(split)]  # [prefix coordinate][value]
+    prefix_conflicts = []
+    for i, j in conflicts:
+        if i >= split and j >= split:
+            for x in range(c):
+                suffix_ok &= ~(equal[i - split][x] & equal[j - split][x])
+        elif i >= split or j >= split:
+            p, q = (j, i - split) if i >= split else (i, j - split)
+            for x in range(c):
+                compatible[p][x] &= ~equal[q][x]
+        else:
+            prefix_conflicts.append((i, j))
+    for block, prefix in enumerate(itertools.product(range(c), repeat=split)):
+        for i, j in prefix_conflicts:
+            if prefix[i] == prefix[j]:
                 break
         else:
-            return True, examined
-    return False, examined
+            proper = suffix_ok
+            for masks, x in zip(compatible, prefix):
+                proper &= masks[x]
+            if proper:  # the lowest set bit, counted from 1
+                return True, block * c**b + (proper & -proper).bit_length()
+    return False, total
 
 
 def random_proper_table(

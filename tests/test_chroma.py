@@ -9,6 +9,7 @@ from pathchroma.errors import BudgetExceeded
 from pathchroma.chroma import (
     _dsatur,
     _greedy_clique,
+    _nth_highest_bit,
     chromatic_number,
     export_cnf,
     greedy_colouring,
@@ -379,3 +380,25 @@ def test_greedy_colouring_matches_scan():
     colour, nodes = _scan_dsatur(graph.adjacency(), graph.vertex_count)
     assert [assignment[v] for v in range(100)] == colour
     assert (used, nodes) == (max(colour), 100)
+
+
+def _nth_highest_bit_by_search(bits, i):
+    # binary search on the count of set bits above a position
+    low, high = 0, bits.bit_length()
+    while high - low > 1:
+        mid = (low + high) >> 1
+        if (bits >> mid).bit_count() > i:
+            low = mid
+        else:
+            high = mid
+    return low
+
+
+def test_nth_highest_bit_matches_the_binary_search():
+    rng = random.Random(7)
+    for _ in range(3000):
+        bits = rng.getrandbits(rng.choice([1, 3, 64, 300, 3000])) | 1 << rng.randrange(40)
+        count = bits.bit_count()
+        for i in {0, 11, 12, 13, count // 2, count - 14, count - 13, count - 12, count - 1}:
+            if 0 <= i < count:
+                assert _nth_highest_bit(bits, i) == _nth_highest_bit_by_search(bits, i)

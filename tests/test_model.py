@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -32,6 +33,7 @@ from pathchroma.model import (
     sampled_properness_check,
     tower,
     two_sided_from_one_sided,
+    window_graph,
 )
 from pathchroma.reduce import (
     compose,
@@ -188,6 +190,52 @@ def test_proper_sequences_enumeration():
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=1, max_value=4))
 def test_proper_sequences_count(n, length):
     assert sum(1 for _ in proper_sequences(n, length)) == count_proper_sequences(n, length)
+
+
+def _product_sequences(n, length):
+    # every sequence over [n] in lexicographic order, less those with equal neighbours
+    return [
+        w for w in itertools.product(range(1, n + 1), repeat=length)
+        if all(a != b for a, b in zip(w, w[1:]))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("length", range(6))
+def test_proper_sequences_match_the_product_order(n, length):
+    if n**length <= 10**5:
+        assert list(proper_sequences(n, length)) == _product_sequences(n, length)
+
+
+def test_proper_sequences_of_any_length():
+    # two alternating sequences; no recursion limit at any length
+    assert list(proper_sequences(2, 5000)) == [(1, 2) * 2500, (2, 1) * 2500]
+    assert list(proper_sequences(1, 5000)) == []
+    with pytest.raises(ValueError, match="non-negative"):
+        proper_sequences(3, -1)
+
+
+def _dict_window_graph(n, length, all_distinct):
+    # windows hashed into a dict, and each shift looked up by its tuple
+    windows = tuple(
+        w for w in _product_sequences(n, length) if not all_distinct or len(set(w)) == length
+    )
+    index = {w: i for i, w in enumerate(windows)}
+    edges = set()
+    for i, w in enumerate(windows):
+        for y in range(1, n + 1):
+            j = index.get(w[1:] + (y,))
+            if j is not None and j != i:
+                edges.add((min(i, j), max(i, j)))
+    return windows, frozenset(edges)
+
+
+@pytest.mark.parametrize("all_distinct", [False, True])
+@pytest.mark.parametrize("length", range(1, 5))
+@pytest.mark.parametrize("n", range(2, 10))
+def test_window_graph_matches_the_dict_builder(n, length, all_distinct):
+    got = window_graph(n, length, all_distinct=all_distinct)
+    assert got == _dict_window_graph(n, length, all_distinct)
 
 
 def test_exhaustive_check_passes_identity_rejects_constant():
@@ -540,8 +588,9 @@ def test_byte_stage_range_check_catches_an_aliased_code():
 
 
 # The byte table calls the rule on every valid window, present or not: a
-# value that fits a byte on an absent window is never read, anything else
-# raises as the rule or the table does.
+# value that fits a byte on an absent window is never read, a rule that
+# raises raises, and a value that is no byte raises a ValueError naming the
+# stage and the window (a str was the bytearray's TypeError before).
 @pytest.mark.parametrize(
     "bad, error",
     [
@@ -549,7 +598,7 @@ def test_byte_stage_range_check_catches_an_aliased_code():
         (0, None),
         (256, ValueError),
         (True, None),
-        ("x", TypeError),
+        ("x", ValueError),
     ],
     ids=["raises", "0", "256", "bool", "str"],
 )
@@ -567,6 +616,10 @@ def test_rule_misbehaving_on_absent_window_changes_nothing(bad, error):
     instance = _four_cycle(25)
     if error is None:
         assert run_algorithm(stage, instance).labels == _reference_run(four_to_three(), instance)
+    elif error is ValueError:
+        message = rf"stage 4to3 gives {bad!r} on window \(1, 2, 1\), not a byte"
+        with pytest.raises(ValueError, match=message):
+            run_algorithm(stage, instance)
     else:
         with pytest.raises(error):
             run_algorithm(stage, instance)

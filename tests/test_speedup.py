@@ -1,5 +1,6 @@
 import functools
 import hashlib
+import itertools
 
 import pytest
 
@@ -13,15 +14,16 @@ from pathchroma.model import (
     count_proper_sequences,
     exhaustive_properness_check,
     identity_algorithm,
+    _suffix_ranks,
     proper_sequences,
     two_sided_from_one_sided,
     window_graph,
 )
 from pathchroma.reduce import compose, cv_algorithm, four_to_three, ns_algorithm, ns_schedule
+import pathchroma.speedup as speedup
 from pathchroma.speedup import (
     ColourRelation,
     _RankTable,
-    _suffix_ranks,
     compose_colouring,
     decode_family,
     iterate_speed_up,
@@ -177,6 +179,49 @@ def test_one_round_maps_exist_for_easier_targets():
 def test_one_round_budget():
     with pytest.raises(BudgetExceeded):
         search_one_round_map(4, 3, budget=1000)
+
+
+def test_one_round_budget_is_the_candidate_count():
+    assert search_one_round_map(4, 3, budget=3**12) == (False, 3**12)
+    with pytest.raises(BudgetExceeded, match=f"{3**12} candidate maps exceed budget"):
+        search_one_round_map(4, 3, budget=3**12 - 1)
+
+
+@functools.lru_cache(maxsize=None)
+def _literal_search(n, c):
+    # Lemma 4 taken literally: every map in itertools.product order, each
+    # tested against the conflict list until one passes.
+    pairs = [(u, v) for u in range(1, n + 1) for v in range(1, n + 1) if u != v]
+    index = {p: i for i, p in enumerate(pairs)}
+    conflicts = [
+        (index[(u, v)], index[(v, w)]) for (u, v) in pairs for w in range(1, n + 1) if w != v
+    ]
+    examined = 0
+    for candidate in itertools.product(range(c), repeat=len(pairs)):
+        examined += 1
+        for i, j in conflicts:
+            if candidate[i] == candidate[j]:
+                break
+        else:
+            return True, examined
+    return False, examined
+
+
+_SEARCH_CASES = [(n, c) for n in range(1, 5) for c in range(6) if c ** (n * (n - 1)) <= 10**6]
+
+
+@pytest.mark.parametrize("block", ["default", "1", "c", "whole"])
+@pytest.mark.parametrize("n,c", _SEARCH_CASES)
+def test_bit_parallel_search_matches_the_literal_scan(n, c, block, monkeypatch):
+    sizes = {"1": 1, "c": c, "whole": c ** (n * (n - 1)) + 1}
+    if block in sizes:
+        monkeypatch.setattr(speedup, "_BLOCK", sizes[block])
+    assert search_one_round_map(n, c) == _literal_search(n, c)
+
+
+def test_first_proper_four_colour_map():
+    # 4^12 maps, but the literal scan stops at the first proper one
+    assert search_one_round_map(4, 4) == _literal_search(4, 4) == (True, 88768)
 
 
 @pytest.mark.parametrize("n,c", [(3, 2), (3, 3), (4, 2), (4, 3)])
@@ -393,6 +438,23 @@ def test_stage_wise_level_zero_matches_the_rule(alg):
     windows = list(proper_sequences(alg.in_palette.size, alg.window_length))
     assert list(table) == windows
     assert [table[w] for w in windows] == [alg.rule(w) for w in windows]
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 21, "5"])
+def test_level_zero_checks_each_later_stage_input(bad):
+    # The first stage leaves ns's palette at colour 5; run_algorithm stops
+    # such a pipeline, and so does the tower's stage-wise level 0.
+    lying = ReductionAlgorithm(
+        ONE_SIDED, 0, Palette(20), Palette(20), lambda w: bad if w[0] == 5 else w[0], name="lying"
+    )
+    alg = compose([lying, ns_algorithm(20, 3)])
+    with pytest.raises(ValueError, match="input of stage ns k=3 does not lie in its 20 colours"):
+        iterate_speed_up(alg, 0)
+    honest = compose([identity_algorithm(20), ns_algorithm(20, 3)])
+    tables = [iterate_speed_up(a, 1).levels for a in (honest, ns_algorithm(20, 3))]
+    assert [list(level.table.values) for level in tables[0]] == [
+        list(level.table.values) for level in tables[1]
+    ]
 
 
 def test_iterate_flags_improper_source_like_speed_up():

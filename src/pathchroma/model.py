@@ -210,7 +210,8 @@ class ReductionAlgorithm:
     ``rule`` maps a valid window (entries in the input palette, adjacent
     entries distinct, correct length) to an output colour.  It is defined
     on valid windows only and need not check them; ``run_algorithm``
-    checks the input of every stage before the stage runs.  The properness
+    checks the input of every stage before the stage runs, and so does
+    the speed-up tower's level 0, with the same check.  The properness
     contract -- overlapping windows get distinct outputs -- is checkable
     with :func:`exhaustive_properness_check`.
     ``stages`` is set for composed pipelines so the simulator can evaluate
@@ -279,24 +280,32 @@ class _WindowTable(dict):
         return value
 
 
-def _is_proper_colouring(seq, n: int | TowerValue) -> bool:
-    """True iff every entry of ``seq`` is an int in 1..n and no two neighbours are equal.
+def _check_stage_input(seq, stage: ReductionAlgorithm) -> None:
+    """Raise a ValueError naming ``stage`` unless ``seq`` is a proper colouring for it.
 
-    Bytes are checked in C: one ``translate`` deletes the colours 1..n, and
-    a zero byte in the XOR of ``seq`` and ``seq`` shifted by one marks
-    equal neighbours.
+    ``run_algorithm`` checks each later stage's input sequence, and the
+    speed-up tower's level 0 each distinct input window.  Bytes are checked
+    in C: one ``translate`` deletes the colours 1..n, and a zero byte in the
+    XOR of ``seq`` and ``seq`` shifted by one marks equal neighbours.
     """
+    n = stage.in_palette.size
     if isinstance(seq, bytes):
         m = len(seq) - 1
         pairs = int.from_bytes(seq[:m], "big") ^ int.from_bytes(seq[1:], "big")
         in_range = not seq.translate(None, bytes(range(1, min(n, 255) + 1)))
-        return in_range and 0 not in pairs.to_bytes(m, "big")
-    return (
-        all(map(isinstance, seq, itertools.repeat(int)))
-        and 1 <= min(seq)
-        and max(seq) <= n
-        and not any(map(eq, seq, itertools.islice(seq, 1, None)))
-    )
+        proper = in_range and 0 not in pairs.to_bytes(m, "big")
+    else:
+        proper = (
+            all(map(isinstance, seq, itertools.repeat(int)))
+            and 1 <= min(seq)
+            and max(seq) <= n
+            and not any(map(eq, seq, itertools.islice(seq, 1, None)))
+        )
+    if not proper:
+        raise ValueError(
+            f"the input of stage {stage.name} is not a proper colouring"
+            f" over {stage.in_palette} colours"
+        )
 
 
 def _byte_stage(seq, stage: ReductionAlgorithm) -> bytes:
@@ -372,12 +381,9 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
         seq = _virtual_run(labels[0], before)[::-1] + list(labels) + _virtual_run(labels[-1], after)
 
     for i, stage in enumerate(alg.stages or (alg,)):
+        if i:
+            _check_stage_input(seq, stage)
         n = stage.in_palette.size
-        if i and not _is_proper_colouring(seq, n):
-            raise ValueError(
-                f"the input of stage {stage.name} is not a proper colouring"
-                f" over {stage.in_palette} colours"
-            )
         wl = stage.window_length
         rule = stage.rule
         if wl == 2 and hasattr(rule, "over"):
@@ -515,9 +521,15 @@ def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None =
     cost = 2 * count_proper_sequences(n, wl + 1)
     if cost > budget:
         raise BudgetExceeded(f"{cost} window evaluations exceed budget {budget}")
+    return _proper_on_pairs(alg, proper_sequences(n, wl + 1))
+
+
+def _proper_on_pairs(alg: ReductionAlgorithm, sequences: Iterator[ColourWindow]) -> bool:
+    """True iff the rule gives both windows of each sequence distinct outputs in its palette."""
+    wl = alg.window_length
     c = alg.out_palette.size
     rule = alg.rule
-    for seq in proper_sequences(n, wl + 1):
+    for seq in sequences:
         a = rule(seq[:wl])
         b = rule(seq[1:])
         if a == b or not (1 <= a <= c) or not (1 <= b <= c):
@@ -556,17 +568,9 @@ def sampled_properness_check(
     n = alg.in_palette.size
     if not isinstance(n, int):
         raise ValueError("cannot sample windows from a symbolic palette")
-    wl = alg.window_length
-    c = alg.out_palette.size
-    rule = alg.rule
     rng = random.Random(seed)
-    for _ in range(samples):
-        window = tuple(_random_walk(rng, n, wl + 1))
-        a = rule(window[:wl])
-        b = rule(window[1:])
-        if a == b or not (1 <= a <= c) or not (1 <= b <= c):
-            return False
-    return True
+    wl = alg.window_length
+    return _proper_on_pairs(alg, (tuple(_random_walk(rng, n, wl + 1)) for _ in range(samples)))
 
 
 def one_sided_from_two_sided(alg: ReductionAlgorithm) -> ReductionAlgorithm:

@@ -27,6 +27,7 @@ from .model import (
     ReductionAlgorithm,
     ColourWindow,
     _WindowTable,
+    _check_stage_input,
     _suffix_ranks,
     canonical_label,
     count_proper_sequences,
@@ -54,6 +55,13 @@ class SpeedUpResult:
     decode: Callable[[int], frozenset[int]]
 
 
+# The speed-up of a c-colour rule holds each output, a family of its c
+# colours, as a c-bit int (one per window of a tower level) and decodes it
+# bit by bit, so c is capped at 2^16 bits, 8 KiB a family.  3-colour sources
+# reach c = 2^62 - 2 at tower level 3, where one family would take 2^59 bytes.
+_MAX_FAMILY_BITS = 1 << 16
+
+
 def _speedable_palette(alg: ReductionAlgorithm) -> int:
     """The output palette size of ``alg``, once the speed-up is known to apply."""
     if alg.sidedness != ONE_SIDED:
@@ -62,7 +70,10 @@ def _speedable_palette(alg: ReductionAlgorithm) -> int:
         raise ValueError("cannot speed up a 0-round algorithm")
     if not isinstance(alg.in_palette.size, int):
         raise ValueError("the speed-up needs a concrete input palette")
-    return alg.out_palette.size
+    c = alg.out_palette.size
+    if c > _MAX_FAMILY_BITS:
+        raise ValueError(f"cannot speed up {c} colours: families exceed {_MAX_FAMILY_BITS} bits")
+    return c
 
 
 def _family_bits(window: ColourWindow, bits: int, c: int) -> int:
@@ -145,17 +156,6 @@ class _RankTable(Mapping):
             prev = x
         return r
 
-    def window(self, rank: int) -> ColourWindow:
-        m = self.n - 1
-        digits = []
-        for _ in range(self.length - 1):
-            rank, d = divmod(rank, m)
-            digits.append(d)
-        window = [rank + 1]
-        for d in reversed(digits):
-            window.append(d + 1 + (d + 1 >= window[-1]))
-        return tuple(window)
-
     def __getitem__(self, window: ColourWindow) -> int:
         return self.values[self.rank(window)]
 
@@ -176,23 +176,21 @@ def _level_zero(alg: ReductionAlgorithm, n: int, suffixes: Mapping[int, Sequence
     r drops i colours in front (i suffix steps) and t - i behind (division
     by m^(t-i)).  Overlapping windows thus share every stage output instead
     of recomputing it, as one call of the composed rule per window would.
-    Each later stage's input, the outputs of the stage before it, must be
-    ints in its input palette, or a ValueError names the stage.
+    A later stage's rule sees only input that passed the simulator's stage
+    input check: each distinct window of outputs from the stage before it
+    is checked as the window table first sees it, and a ValueError names
+    the stage, as ``run_algorithm`` does.
     """
     first, *rest = alg.stages or (alg,)
-    rule = first.rule
     length = first.window_length
-    values = [rule(w) for w in proper_sequences(n, length)]
+    values = list(map(first.rule, proper_sequences(n, length)))
     m = n - 1
     for stage in rest:
-        if not (
-            all(map(isinstance, values, itertools.repeat(int)))
-            and 1 <= min(values, default=1)
-            and max(values, default=1) <= stage.in_palette.size
-        ):
-            raise ValueError(
-                f"the input of stage {stage.name} does not lie in its {stage.in_palette} colours"
-            )
+
+        def checked(window: ColourWindow, stage: ReductionAlgorithm = stage) -> int:
+            _check_stage_input(window, stage)
+            return stage.rule(window)
+
         t = stage.rounds
         length += t
         columns = []
@@ -203,7 +201,7 @@ def _level_zero(alg: ReductionAlgorithm, n: int, suffixes: Mapping[int, Sequence
             if i < t:
                 ranks = map(floordiv, ranks, itertools.repeat(m ** (t - i)))
             columns.append(map(values.__getitem__, ranks))
-        values = list(map(_WindowTable(stage.rule).__getitem__, zip(*columns)))
+        values = list(map(_WindowTable(checked).__getitem__, zip(*columns)))
     return values
 
 
@@ -216,17 +214,15 @@ def _speed_up_table(table: _RankTable, c: int, suffix: Sequence[int] | None) -> 
     rule would collect.  ``suffix`` holds the suffix ranks of the shorter
     windows.
     """
-    n, values = table.n, table.values
+    n, values, length = table.n, table.values, table.length - 1
     bit = {colour: 1 << (colour - 1) for colour in set(values)}
-    families = [0] * count_proper_sequences(n, table.length - 1)
+    families = [0] * count_proper_sequences(n, length)
     for i in range(n - 1):
         families = list(map(or_, families, map(bit.__getitem__, values[i :: n - 1])))
-    faster = _RankTable(n, table.length - 1, families, suffix)
-    full = (1 << c) - 1
-    if 0 in families or full in families:
-        for rank, bits in enumerate(families):  # raises at the first, in rank order
-            _family_bits(faster.window(rank), bits, c)
-    return faster
+    if 0 in families or (1 << c) - 1 in families:
+        for window, bits in zip(proper_sequences(n, length), families):  # raises at the first
+            _family_bits(window, bits, c)
+    return _RankTable(n, length, families, suffix)
 
 
 @dataclass(frozen=True)
@@ -237,17 +233,20 @@ class SpeedUpLevel:
     is a read-only mapping that stores its outputs by window rank (the
     window's index in ``proper_sequences``) and iterates in that order;
     above level 0 the algorithm's rule is a lookup in it.
-    ``semantic`` decodes each realized encoded colour into the nested family
-    of base colours it stands for (plain ints at level 0).
+    ``semantic`` decodes each realized encoded colour, and only those, into
+    the nested family of base colours it stands for (plain ints at level 0).
     """
 
     algorithm: ReductionAlgorithm
-    realized: frozenset[int]
     semantic: Mapping[int, Colour]
     table: _RankTable
 
+    @property
+    def realized(self) -> frozenset[int]:
+        return frozenset(self.semantic)
+
     def colours(self) -> frozenset[Colour]:
-        return frozenset(self.semantic[r] for r in self.realized)
+        return frozenset(self.semantic.values())
 
 
 @dataclass(frozen=True)
@@ -372,10 +371,12 @@ def iterate_speed_up(
 
     Every level's table stores its outputs by window rank.  Level 0 holds
     ``alg``'s output on every window; a composed source fills it stage by
-    stage (see ``_level_zero``) and is never called per window.  Each
-    higher level is built from the table below it, so the source rule is
-    never evaluated again.  The budget counts one evaluation per window of
-    every level, whatever the stage-wise build saves.
+    stage, each later stage behind the simulator's stage input check (see
+    ``_level_zero``), and is never called per window.  Each higher level is
+    built from the table below it, so the source rule is never evaluated
+    again.  The budget counts one evaluation per window of every level,
+    whatever the stage-wise build saves, and is checked for the whole tower
+    before any window is evaluated.
     """
     if k < 0 or k > alg.rounds:
         raise ValueError("can iterate between 0 and rounds(alg) times")
@@ -383,31 +384,20 @@ def iterate_speed_up(
     n = alg.in_palette.size
     if not isinstance(n, int):
         raise ValueError("iteration needs a concrete input palette")
-
-    levels: list[SpeedUpLevel] = []
-    spent = 0
     wl = alg.window_length
-    for _ in range(k + 1):
-        below = levels[-1] if levels else None
-        if below is not None:
-            c = _speedable_palette(below.algorithm)
-            wl -= 1
-        spent += count_proper_sequences(n, wl)
-        if spent > budget:
-            raise BudgetExceeded(f"{spent} window evaluations exceed budget {budget}")
-        if below is None:
-            suffixes = _suffix_ranks(n, wl)
-            values = _level_zero(alg, n, suffixes)
-            table = _RankTable(n, wl, values, suffixes.get(wl))
-            realized = frozenset(values)
-            levels.append(SpeedUpLevel(alg, realized, {r: r for r in realized}, table))
-        else:
-            table = _speed_up_table(below.table, c, suffixes.get(wl))
-            realized = frozenset(table.values)
-            prev = below.semantic
-            semantic = {r: frozenset(prev[x] for x in decode_family(r, c)) for r in realized}
-            faster = _faster(below.algorithm, table.__getitem__)
-            levels.append(SpeedUpLevel(faster, realized, semantic, table))
+    cost = sum(count_proper_sequences(n, wl - i) for i in range(k + 1))
+    if cost > budget:
+        raise BudgetExceeded(f"{cost} window evaluations exceed budget {budget}")
+    suffixes = _suffix_ranks(n, wl)
+    table = _RankTable(n, wl, _level_zero(alg, n, suffixes), suffixes.get(wl))
+    levels = [SpeedUpLevel(alg, {r: r for r in set(table.values)}, table)]
+    for _ in range(k):
+        below = levels[-1]
+        c = _speedable_palette(below.algorithm)
+        table = _speed_up_table(below.table, c, suffixes.get(below.table.length - 1))
+        prev = below.semantic
+        semantic = {r: frozenset(prev[x] for x in decode_family(r, c)) for r in set(table.values)}
+        levels.append(SpeedUpLevel(_faster(below.algorithm, table.__getitem__), semantic, table))
     return SpeedUpTower(tuple(levels), budget)
 
 

@@ -145,6 +145,21 @@ def test_speedup_command(capsys):
     assert "1 -> {2,3}" in out
 
 
+def test_speedup_past_level_three_exits_2(capsys):
+    # level 3 of a 3-colour source has 2^62 - 2 colours, too wide for families
+    code, out, _ = run(capsys, "speedup", "--alg", "schedule:n=17", "--k", "3")
+    assert code == 0
+    assert out == (
+        "level=0 rounds=4 palette=3 realized=3\n"
+        "level=1 rounds=3 palette=6 realized=6\n"
+        "level=2 rounds=2 palette=62 realized=14\n"
+        "level=3 rounds=1 palette=4611686018427387902 realized=37\n"
+    )
+    code, out, err = run(capsys, "speedup", "--alg", "schedule:n=7", "--k", "4")
+    assert (code, out) == (2, "")
+    assert "cannot speed up 4611686018427387902 colours: families exceed 65536 bits" in err
+
+
 def test_graph_and_colour_commands(tmp_path, capsys):
     colfile = tmp_path / "n31.col"
     code, out, _ = run(

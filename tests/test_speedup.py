@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
@@ -9,13 +10,16 @@ from pathchroma.errors import BudgetExceeded
 from pathchroma.graphs import UGraph
 from pathchroma.model import (
     ONE_SIDED,
+    PATH,
     Palette,
+    PathInstance,
     ReductionAlgorithm,
     count_proper_sequences,
     exhaustive_properness_check,
     identity_algorithm,
     _suffix_ranks,
     proper_sequences,
+    run_algorithm,
     two_sided_from_one_sided,
     window_graph,
 )
@@ -394,6 +398,23 @@ def test_iterate_budget_thresholds_unchanged():
         iterate_speed_up(identity_algorithm(20), 0, budget=379).successor_relation(0)
 
 
+def test_iterate_budget_checked_before_any_evaluation():
+    # 9072 windows at level 0 fit a budget of 10835; the tower's 10836 do not
+    calls = []
+    first, *rest = compose(ns_schedule(7)).stages
+
+    def counting_rule(window):
+        calls.append(window)
+        return first.rule(window)
+
+    alg = compose([dataclasses.replace(first, rule=counting_rule), *rest])
+    with pytest.raises(BudgetExceeded, match="10836 window evaluations exceed budget 10835"):
+        iterate_speed_up(alg, 2, budget=10835)
+    assert calls == []
+    # level 0 alone fits, and calls the first stage once on each of its 7 * 6 windows
+    assert len(iterate_speed_up(alg, 0, budget=10835).levels) == 1 and len(calls) == 42
+
+
 @pytest.mark.parametrize("n,length", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3), (5, 2), (7, 4)])
 def test_rank_table_round_trip(n, length):
     windows = list(proper_sequences(n, length))
@@ -402,7 +423,7 @@ def test_rank_table_round_trip(n, length):
     assert list(table) == windows and len(table) == len(windows)
     shorter = {w: r for r, w in enumerate(proper_sequences(n, length - 1))}
     for r, w in enumerate(windows):
-        assert table.rank(w) == r and table.window(r) == w and table[w] == 10 * r
+        assert table.rank(w) == r and table[w] == 10 * r
         if length > 1:
             assert r // (n - 1) == shorter[w[:-1]]
             assert table.suffix[r] == shorter[w[1:]]
@@ -442,14 +463,27 @@ def test_stage_wise_level_zero_matches_the_rule(alg):
 
 @pytest.mark.parametrize("bad", [-1, 0, 21, "5"])
 def test_level_zero_checks_each_later_stage_input(bad):
-    # The first stage leaves ns's palette at colour 5; run_algorithm stops
-    # such a pipeline, and so does the tower's stage-wise level 0.
+    # The first stage leaves ns's palette at colour 5, or merges colours 1
+    # and 2 so that 4to3 sees equal neighbours; run_algorithm stops such a
+    # pipeline, and the tower's stage-wise level 0 stops it with the same
+    # message.  A 3-node path keeps the simulator off its byte path.
     lying = ReductionAlgorithm(
         ONE_SIDED, 0, Palette(20), Palette(20), lambda w: bad if w[0] == 5 else w[0], name="lying"
     )
-    alg = compose([lying, ns_algorithm(20, 3)])
-    with pytest.raises(ValueError, match="input of stage ns k=3 does not lie in its 20 colours"):
-        iterate_speed_up(alg, 0)
+    merging = ReductionAlgorithm(
+        ONE_SIDED, 0, Palette(4), Palette(4), lambda w: max(w[0], 2), name="merging"
+    )
+    pipelines = [
+        (compose([lying, ns_algorithm(20, 3)]), (5, 1, 2), "ns k=3", 20),
+        (compose([merging, four_to_three()]), (1, 2, 3), "4to3", 4),
+    ]
+    for alg, labels, name, n in pipelines:
+        message = f"input of stage {name} is not a proper colouring over {n} colours"
+        with pytest.raises(ValueError, match=message) as tower_error:
+            iterate_speed_up(alg, 0)
+        with pytest.raises(ValueError) as run_error:
+            run_algorithm(alg, PathInstance(PATH, labels))
+        assert str(tower_error.value) == str(run_error.value)
     honest = compose([identity_algorithm(20), ns_algorithm(20, 3)])
     tables = [iterate_speed_up(a, 1).levels for a in (honest, ns_algorithm(20, 3))]
     assert [list(level.table.values) for level in tables[0]] == [
@@ -511,3 +545,17 @@ def test_random_proper_table_outputs_are_pinned(n, t, c, seed, digest):
     alg = random_proper_table(n, t, c, seed)
     outputs = bytes(alg.rule(w) for w in proper_sequences(n, t + 1))
     assert hashlib.sha256(outputs).hexdigest()[:16] == digest
+
+
+def test_speed_up_refuses_families_too_wide_for_int_masks():
+    # level 3 of a 3-colour source has 2^62 - 2 colours: a family of them
+    # would be a 2^62-bit mask, so level 4 fails before any mask is formed
+    tower = iterate_speed_up(compose(ns_schedule(7)), 3)
+    message = "cannot speed up 4611686018427387902 colours: families exceed 65536 bits"
+    with pytest.raises(ValueError, match=message):
+        iterate_speed_up(compose(ns_schedule(7)), 4)
+    with pytest.raises(ValueError, match=message):
+        speed_up(tower.algorithm(3))
+    # a 16-colour source still speeds up twice: families of 2^16 - 2 colours fit
+    top = iterate_speed_up(random_proper_table(4, 2, 16, seed=0), 2).algorithm(2)
+    assert top.out_palette.size == 2 ** (2**16 - 2) - 2

@@ -6,30 +6,36 @@ vertex seeing the most distinct neighbour colours, then the highest degree,
 and undoes its last choice when a vertex has no colour left.  The kernel
 works on int bitsets, after San Segundo's bitboard search (BBMC, 2011).
 Each vertex has one bit position, in pick order: by degree, then by least
-index.  A few ints hold the state: the uncoloured set, one set per colour
-of the vertices that colour is forbidden to, and the saturation as a
-bit-sliced counter.  A pick masks the uncoloured set by the counter's
-planes from the top down and takes the highest set bit.  Colouring v with
-c adds ``nbr[v] & free & ~forb[c]`` to ``forb[c]`` and ripples it through
-the planes as a carry; a frame keeps that one int, and undo is an XOR and a
-borrow ripple.  So the int operations per search node depend on k, not on
-how many neighbours the vertex has.
+index.  Those positions and each vertex's neighbours as one int are the
+graph's bit layout, ``_bit_layout``, built once per graph: the sampler's
+restarts and its complete search share one, and the precoloured clique of
+:func:`k_colourable` is read off it.  A few ints hold the state: the
+uncoloured set, one set per colour of the vertices that colour is forbidden
+to, and the saturation as a bit-sliced counter.  A pick masks the uncoloured
+set by the counter's planes from the top down and takes the highest set
+bit.  Colouring v with c adds ``nbr[v] & free & ~forb[c]`` to ``forb[c]``
+and ripples it through the planes as a carry; a frame keeps that one int,
+and undo is an XOR and a borrow ripple.  So the int operations per search
+node depend on k, not on how many neighbours the vertex has.
 
 Without an RNG it is the complete search of :func:`k_colourable`: ties go
 to the least index and colours are tried in ascending order, up to one
-above the largest in use.  UNSAT answers certify graph-colouring lemmas, so
-colour symmetry is broken only soundly, by that fresh-colour cap and a
-precoloured greedy clique.  With k equal to the vertex count its first
-descent never backtracks, and it is :func:`greedy_colouring`.
+above the largest in use, each found by a scan upward from the last one
+tried when the search comes back to the vertex.  UNSAT answers certify
+graph-colouring lemmas, so colour symmetry is broken only soundly, by that
+fresh-colour cap and a precoloured greedy clique.  With k equal to the
+vertex count its first descent never backtracks, and it is
+:func:`greedy_colouring`.
 
 With an RNG it is the restart body of ``speedup.random_proper_table``: the
 tied vertices, in ascending index order, and a shuffled order of all free
-colours are drawn from the RNG, under a backtrack cap.  The ties are the
-top candidates of the best pick's degree class, a run of adjacent bit
+colours are drawn from the RNG, under a backtrack cap.  The ties are the top
+candidates of the best pick's degree class, a run of adjacent bit
 positions; the RNG draws an index into them, so a seed fixes the search on
-any interpreter.  The fresh-colour cap is left out: a sampler needs no
-symmetry breaking, and the cap would change the random stream that sampled
-tables come from.
+any interpreter.  The draws are ``rng.choice`` and ``rng.shuffle``'s own,
+made inline from ``getrandbits``.  The fresh-colour cap is left out: a
+sampler needs no symmetry breaking, and the cap would change the random
+stream that sampled tables come from.
 
 The graph type, :class:`UGraph`, lives here with the search.  Every layer
 above builds graphs to colour: ``speedup`` its window graphs and successor
@@ -41,7 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Hashable, Iterable, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded
 from .model import canonical_label
@@ -131,13 +137,54 @@ class ColouringCertificate:
         return "\n".join(lines) + "\n"
 
 
-def _greedy_clique(adj: list[Sequence[int]]) -> list[int]:
-    neighbours = [set(a) for a in adj]
-    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
-    clique: list[int] = []
+class _BitLayout(NamedTuple):
+    """The per-graph part of the search: each vertex as one bit position.
+
+    Positions are in pick order: by degree, then by descending index, so a
+    set's highest bit is its best pick.
+    """
+
+    order: list[int]  # order[p]: the vertex at position p
+    position: list[int]  # position[v]: the position of vertex v
+    nbr: list[int]  # nbr[p]: the positions of p's neighbours, as one int
+    class_low: list[int]  # class_low[p]: the lowest position of p's degree class
+    max_degree: int
+
+
+def _bit_layout(adj: list[Sequence[int]]) -> _BitLayout:
+    """Lay out a graph, given as adjacency lists, for :func:`_dsatur`."""
+    n = len(adj)
+    degrees = [len(a) for a in adj]
+    order = sorted(range(n - 1, -1, -1), key=degrees.__getitem__)  # stable: ties by -index
+    position = [0] * n
+    for p, v in enumerate(order):
+        position[v] = p
+    nbr = []
     for v in order:
-        if all(u in neighbours[v] for u in clique):
-            clique.append(v)
+        mask = 0
+        for u in adj[v]:
+            mask |= 1 << position[u]
+        nbr.append(mask)
+    class_low = list(range(n))
+    for p in range(1, n):
+        if degrees[order[p]] == degrees[order[p - 1]]:
+            class_low[p] = class_low[p - 1]
+    return _BitLayout(order, position, nbr, class_low, max(degrees, default=0))
+
+
+def _clique(layout: _BitLayout) -> list[int]:
+    """A greedy clique: vertices by degree, then index, each joined to all before it.
+
+    The candidates are the vertices joined to every member so far, and the
+    next member is their best pick, the highest set bit.
+    """
+    order, nbr = layout.order, layout.nbr
+    clique = []
+    candidates = (1 << len(order)) - 1
+    while candidates:
+        p = candidates.bit_length() - 1
+        clique.append(order[p])
+        candidates &= nbr[p]
     return clique
 
 
@@ -169,7 +216,7 @@ def _nth_highest_bit(bits: int, i: int) -> int:
 
 
 def _dsatur(
-    adj: list[Sequence[int]],
+    layout: _BitLayout,
     k: int,
     precolouring: dict[int, int] | None = None,
     *,
@@ -177,35 +224,25 @@ def _dsatur(
     node_limit: float = math.inf,
     max_backtracks: float = math.inf,
 ) -> tuple[list[int] | None, int]:
-    """Search for a proper colouring in [k] (see the module docstring).
+    """Search a laid-out graph for a proper colouring in [k] (see the module docstring).
 
-    ``precolouring`` fixes the colours of some vertices before the search.
-    Returns (colour per vertex, search nodes), with None for the colouring
-    once the search is exhausted or has backtracked more than
-    ``max_backtracks`` times.  Raises :class:`BudgetExceeded` past
-    ``node_limit`` nodes.
+    ``layout`` comes from :func:`_bit_layout`; a caller that searches one
+    graph several times lays it out once.  ``precolouring`` fixes the
+    colours of some vertices before the search.  Returns (colour per
+    vertex, search nodes), with None for the colouring once the search is
+    exhausted or has backtracked more than ``max_backtracks`` times.
+    Raises :class:`BudgetExceeded` past ``node_limit`` nodes.
+
+    Without an RNG a vertex's colours are scanned upward, one per try, up
+    to a cap of one above the largest in use; a frame keeps the last colour
+    tried and the cap.  With an RNG the free colours are listed and
+    shuffled.  Its draws come from ``rng.getrandbits`` as ``rng.choice``
+    and ``rng.shuffle`` make them, call for call (``Random._randbelow``'s
+    rejection loop), as ``model._random_walk`` draws ``randint``.
     """
     precolouring = precolouring or {}
-    n = len(adj)
-    degrees = [len(a) for a in adj]
-    # Bit p of every set stands for vertex order[p]: by degree, then by
-    # descending index, so a set's highest bit is its best pick.
-    order = sorted(range(n), key=lambda v: (degrees[v], -v))
-    position = [0] * n
-    for p, v in enumerate(order):
-        position[v] = p
-    nbr = []
-    for v in order:
-        mask = 0
-        for u in adj[v]:
-            mask |= 1 << position[u]
-        nbr.append(mask)
-    # class_low[p]: the lowest position of p's degree class
-    class_low = list(range(n))
-    for p in range(1, n):
-        if degrees[order[p]] == degrees[order[p - 1]]:
-            class_low[p] = class_low[p - 1]
-
+    order, position, nbr, class_low, max_degree = layout
+    n = len(order)
     free = (1 << n) - 1  # uncoloured, less the vertex whose colours are being tried
     forb = [0] * (k + 1)  # forb[c]: vertices with a neighbour coloured c (kept on free ones)
     max_used = 0
@@ -217,7 +254,7 @@ def _dsatur(
     # planes[-1 - j] is bit j of p's count of forbidden colours.  Counts
     # change by rippling a carry (or borrow) set up from planes[-1], and
     # never exceed k or the degree.
-    planes = [0] * min(k, max(degrees, default=0)).bit_length()
+    planes = [0] * min(k, max_degree).bit_length()
     for carry in forb:
         j = -1
         while carry:
@@ -226,7 +263,9 @@ def _dsatur(
             carry &= plane
             j -= 1
 
-    palette = range(1, k + 1)
+    if rng is not None:
+        getrandbits = rng.getrandbits
+        palette = range(1, k + 1)
     nodes = 0
     backtracks = 0
     frames: list[tuple] = []
@@ -238,22 +277,42 @@ def _dsatur(
                 top = higher
         p = top.bit_length() - 1
         if rng is None:
-            # a fresh colour beyond max_used + 1 is symmetric to max_used + 1
-            options = [c for c in range(min(k, max_used + 1), 0, -1) if not forb[c] >> p & 1]
+            bit = 1 << p
+            # rest: the cap; a fresh colour beyond max_used + 1 is symmetric to max_used + 1
+            c, rest = 0, max_used + 1 if max_used < k else k
         else:
             low = class_low[p]
             ties = top >> low  # the top candidates of p's degree class, by descending index
-            p = low + _nth_highest_bit(ties, rng.choice(range(ties.bit_count())))
-            options = [c for c in palette if not forb[c] >> p & 1]
-            rng.shuffle(options)
-        free ^= 1 << p
+            m = ties.bit_count()
+            width = m.bit_length()  # r = rng.choice(range(m)):
+            r = getrandbits(width)
+            while r >= m:
+                r = getrandbits(width)
+            if r:  # else the pick is p, the highest
+                p = low + _nth_highest_bit(ties, r)
+            bit = 1 << p
+            rest = [c for c in palette if not forb[c] & bit]
+            for i in range(len(rest) - 1, 0, -1):  # rng.shuffle(rest):
+                width = (i + 1).bit_length()
+                r = getrandbits(width)
+                while r > i:
+                    r = getrandbits(width)
+                rest[i], rest[r] = rest[r], rest[i]
+        free ^= bit
 
         while True:
-            if options:
+            if rng is None:  # the least free colour above c, up to the cap
+                c += 1
+                while c <= rest and forb[c] & bit:
+                    c += 1
+                if c > rest:
+                    c = 0
+            else:
+                c = rest.pop() if rest else 0
+            if c:
                 nodes += 1
                 if nodes > node_limit:
                     raise BudgetExceeded(f"node limit {node_limit} hit after {nodes - 1} nodes")
-                c = options.pop()
                 add = nbr[p] & free
                 add ^= add & forb[c]
                 forb[c] |= add
@@ -264,15 +323,15 @@ def _dsatur(
                     planes[j] = plane ^ carry
                     carry &= plane
                     j -= 1
-                frames.append((p, options, c, add, max_used))
+                frames.append((p, bit, rest, c, add, max_used))
                 if c > max_used:
                     max_used = c
                 break
-            free |= 1 << p
+            free |= bit
             backtracks += 1
             if backtracks > max_backtracks or not frames:
                 return None, nodes
-            p, options, c, add, max_used = frames.pop()
+            p, bit, rest, c, add, max_used = frames.pop()
             forb[c] ^= add
             borrow = add
             j = -1
@@ -284,14 +343,14 @@ def _dsatur(
     colour = [0] * n
     for v, c in precolouring.items():
         colour[v] = c
-    for p, _, c, _, _ in frames:
+    for p, _, _, c, _, _ in frames:
         colour[order[p]] = c
     return colour, nodes
 
 
 def greedy_colouring(graph: UGraph) -> tuple[dict, int]:
     """Saturation-first greedy colouring; returns (assignment, colours used)."""
-    colour, _ = _dsatur(graph.adjacency(), graph.vertex_count)
+    colour, _ = _dsatur(_bit_layout(graph.adjacency()), graph.vertex_count)
     return dict(zip(graph.labels, colour)), max(colour, default=0)
 
 
@@ -313,12 +372,11 @@ def k_colourable(
     if k < 1:
         raise ValueError("k must be positive")
     node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
-    adj = graph.adjacency()
+    layout = _bit_layout(graph.adjacency())
     # Precolouring a clique is sound up to permuting colours; if the clique
     # is larger than k the leftover members simply have empty domains.
-    clique = _greedy_clique(adj)
-    precolouring = {v: i for i, v in enumerate(clique[:k], start=1)}
-    colour, nodes = _dsatur(adj, k, precolouring, node_limit=node_limit)
+    precolouring = {v: i for i, v in enumerate(_clique(layout)[:k], start=1)}
+    colour, nodes = _dsatur(layout, k, precolouring, node_limit=node_limit)
     if colour is None:
         return ColouringCertificate(k, False, None, nodes)
     assignment = dict(zip(graph.labels, colour))
@@ -330,7 +388,7 @@ def chromatic_number(graph: UGraph, *, node_limit: int | None = None) -> int:
     """Least k admitting a proper colouring, bracketed by clique and greedy bounds."""
     if graph.vertex_count == 0:
         return 0
-    lower = max(1, len(_greedy_clique(graph.adjacency())))
+    lower = max(1, len(_clique(_bit_layout(graph.adjacency()))))
     _, upper = greedy_colouring(graph)
     for k in range(lower, upper):
         if k_colourable(graph, k, node_limit=node_limit).satisfiable:

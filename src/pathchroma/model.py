@@ -193,14 +193,33 @@ class PathInstance:
         return len(self.labels)
 
 
+def _checked_instance(topology: str, labels: tuple[int, ...]) -> PathInstance:
+    """A PathInstance built without its checks, for labels the library has checked."""
+    instance = object.__new__(PathInstance)
+    object.__setattr__(instance, "topology", topology)
+    object.__setattr__(instance, "labels", labels)
+    return instance
+
+
+def _adjacent_distinct(seq: bytes) -> bool:
+    """True iff no two neighbours in ``seq`` are equal.
+
+    In C: a zero byte in the XOR of ``seq`` and ``seq`` shifted by one
+    marks equal neighbours.
+    """
+    m = len(seq) - 1
+    pairs = int.from_bytes(seq[:m], "big") ^ int.from_bytes(seq[1:], "big")
+    return 0 not in pairs.to_bytes(m, "big")
+
+
 def is_proper(instance: PathInstance) -> bool:
     """True iff all adjacent labels differ, including the wrap-around pair on cycles."""
     labels = instance.labels
-    if any(map(eq, labels, itertools.islice(labels, 1, None))):
-        return False
-    if instance.topology == CYCLE and labels[-1] == labels[0]:
-        return False
-    return True
+    try:
+        proper = _adjacent_distinct(bytes(labels))
+    except ValueError:  # a label above 255
+        proper = not any(map(eq, labels, itertools.islice(labels, 1, None)))
+    return proper and not (instance.topology == CYCLE and labels[-1] == labels[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,15 +304,13 @@ def _check_stage_input(seq, stage: ReductionAlgorithm) -> None:
 
     ``run_algorithm`` checks each later stage's input sequence, and the
     speed-up tower's level 0 each distinct input window.  Bytes are checked
-    in C: one ``translate`` deletes the colours 1..n, and a zero byte in the
-    XOR of ``seq`` and ``seq`` shifted by one marks equal neighbours.
+    in C: one ``translate`` deletes the colours 1..n, and
+    ``_adjacent_distinct`` finds equal neighbours.
     """
     n = stage.in_palette.size
     if isinstance(seq, bytes):
-        m = len(seq) - 1
-        pairs = int.from_bytes(seq[:m], "big") ^ int.from_bytes(seq[1:], "big")
         in_range = not seq.translate(None, bytes(range(1, min(n, 255) + 1)))
-        proper = in_range and 0 not in pairs.to_bytes(m, "big")
+        proper = in_range and _adjacent_distinct(seq)
     else:
         proper = (
             all(map(isinstance, seq, itertools.repeat(int)))
@@ -396,6 +413,10 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
             rule = _WindowTable(rule).__getitem__
         seq = list(map(rule, zip(*(seq[j:] for j in range(wl)))))
     assert len(seq) == length
+    if isinstance(seq, bytes):  # bytes hold ints below 256, so only 0 is no label
+        if 0 in seq:
+            raise ValueError("labels must be positive integers")
+        return _checked_instance(instance.topology, tuple(seq))
     return PathInstance(instance.topology, tuple(seq))
 
 
@@ -506,12 +527,19 @@ def window_graph(n: int, length: int, *, all_distinct: bool = False) -> tuple[tu
 def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None = None) -> bool:
     """Check the properness contract on every pair of overlapping valid windows.
 
-    Streams through all adjacent-distinct sequences one entry longer than the
-    window; also verifies outputs stay inside the output palette.  Raises
+    Also verifies that outputs stay inside the output palette.  Raises
     :class:`BudgetExceeded` (rather than returning a verdict) when the
-    enumeration would run past the budget.  As the reference check it keeps
-    streaming in O(1) memory instead of building the window graph, which
-    would reach about 1.1M vertices for ``compose(ns_schedule(17))``.
+    enumeration would run past the budget, which is charged two window
+    evaluations per adjacent-distinct sequence one entry longer than the
+    window.  It streams over the stems, the sequences v one entry shorter
+    than the window, in ``proper_sequences`` order: the overlapping pairs
+    with stem v are (x + v, v + y), so the rule is proper on them iff the
+    outputs before, {rule(x + v)}, and after, {rule(v + y)}, are disjoint.
+    Each window is one stem's before and another's after, so the rule is
+    called twice per window.  A 0-round rule has no stem: its outputs must
+    all differ.  As the reference check it keeps streaming in O(n) memory
+    instead of building the window graph, which would reach about 1.1M
+    vertices for ``compose(ns_schedule(17))``.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = alg.in_palette.size
@@ -521,18 +549,20 @@ def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None =
     cost = 2 * count_proper_sequences(n, wl + 1)
     if cost > budget:
         raise BudgetExceeded(f"{cost} window evaluations exceed budget {budget}")
-    return _proper_on_pairs(alg, proper_sequences(n, wl + 1))
-
-
-def _proper_on_pairs(alg: ReductionAlgorithm, sequences: Iterator[ColourWindow]) -> bool:
-    """True iff the rule gives both windows of each sequence distinct outputs in its palette."""
-    wl = alg.window_length
+    if n < 2:  # no two colours, so no pair of windows
+        return True
     c = alg.out_palette.size
     rule = alg.rule
-    for seq in sequences:
-        a = rule(seq[:wl])
-        b = rule(seq[1:])
-        if a == b or not (1 <= a <= c) or not (1 <= b <= c):
+    ones = [(x,) for x in range(1, n + 1)]
+    if wl == 1:
+        outputs = set(map(rule, ones))
+        return len(outputs) == n and 1 <= min(outputs) and max(outputs) <= c
+    unlike = [ones[:i] + ones[i + 1 :] for i in range(n)]  # unlike[x - 1]: the colours but x
+    for stem in proper_sequences(n, wl - 1):
+        before = set(map(rule, map(tuple.__add__, unlike[stem[0] - 1], itertools.repeat(stem))))
+        after = map(rule, map(stem.__add__, unlike[stem[-1] - 1]))
+        # every window is one stem's before, so checking those covers the palette
+        if not before.isdisjoint(after) or min(before) < 1 or max(before) > c:
             return False
     return True
 
@@ -570,7 +600,15 @@ def sampled_properness_check(
         raise ValueError("cannot sample windows from a symbolic palette")
     rng = random.Random(seed)
     wl = alg.window_length
-    return _proper_on_pairs(alg, (tuple(_random_walk(rng, n, wl + 1)) for _ in range(samples)))
+    c = alg.out_palette.size
+    rule = alg.rule
+    for _ in range(samples):
+        seq = tuple(_random_walk(rng, n, wl + 1))
+        a = rule(seq[:wl])
+        b = rule(seq[1:])
+        if a == b or not (1 <= a <= c) or not (1 <= b <= c):
+            return False
+    return True
 
 
 def one_sided_from_two_sided(alg: ReductionAlgorithm) -> ReductionAlgorithm:
@@ -700,6 +738,8 @@ def random_proper_instance(
         raise ValueError("need at least 2 colours")
     if length < 2:
         raise ValueError("need at least 2 nodes")
+    if topology not in (PATH, CYCLE):
+        raise ValueError(f"unknown topology {topology!r}")
     if topology == CYCLE and n == 2 and length % 2 == 1:
         raise ValueError("odd cycles admit no proper 2-colouring")
     rng = random.Random(seed)
@@ -707,7 +747,7 @@ def random_proper_instance(
     if topology == CYCLE:
         while labels[-1] == labels[0] or labels[-1] == labels[-2]:
             labels[-1] = rng.randint(1, n)
-    return PathInstance(topology, tuple(labels))
+    return _checked_instance(topology, tuple(labels))
 
 
 def format_instance(instance: PathInstance) -> str:

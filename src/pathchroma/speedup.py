@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import floordiv, or_
 from typing import Callable, Hashable, Iterator, Sequence
 
-from .chroma import UGraph, _dsatur
+from .chroma import UGraph, _bit_layout, _dsatur
 from .errors import BudgetExceeded
 from .model import (
     DEFAULT_BUDGET,
@@ -541,16 +541,19 @@ def random_proper_table(
     - every restart fails without that proof: RuntimeError "... not found",
       saying whether the complete search decided feasibility.
     """
-    # Only the labels and the adjacency live through the restarts: the edge
-    # set (1.5 MB for n=8, t=3) outweighs the kernel's neighbour masks.
+    # Only the labels and one bit layout live through the restarts: the edge
+    # set (1.5 MB for n=8, t=3) outweighs the layout's neighbour masks, so it
+    # goes before the layout is built.
     graph = UGraph(*window_graph(n, t + 1))
     labels, adjacency = graph.labels, graph.adjacency()
     del graph
+    layout = _bit_layout(adjacency)
+    del adjacency
 
     rng = random.Random(seed)
     feasibility = "feasibility not decided"
     for restart in range(restarts):
-        assignment = _random_dsatur(adjacency, c, rng, max_backtracks=max_backtracks)
+        assignment = _random_dsatur(layout, c, rng, max_backtracks=max_backtracks)
         if assignment is not None:
             table = dict(zip(labels, assignment))
             return ReductionAlgorithm(
@@ -565,7 +568,7 @@ def random_proper_table(
             # No RNG, so the random stream is untouched; and not through
             # _random_dsatur, whose calls are the restarts.
             try:
-                colouring, nodes = _dsatur(adjacency, c, node_limit=max_backtracks)
+                colouring, nodes = _dsatur(layout, c, node_limit=max_backtracks)
             except BudgetExceeded:
                 continue
             if colouring is None:
@@ -581,5 +584,5 @@ def random_proper_table(
 
 
 # Wrapped by perfbench/run.py::count_sampler_attempts; one call per restart, colouring or None.
-def _random_dsatur(adjacency, c, rng, *, max_backtracks):
-    return _dsatur(adjacency, c, rng=rng, max_backtracks=max_backtracks)[0]
+def _random_dsatur(layout, c, rng, *, max_backtracks):
+    return _dsatur(layout, c, rng=rng, max_backtracks=max_backtracks)[0]

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pathchroma.errors import BudgetExceeded
 from pathchroma.chroma import (
+    _bit_layout,
+    _clique,
     _dsatur,
-    _greedy_clique,
     _nth_highest_bit,
     chromatic_number,
     export_cnf,
@@ -268,22 +269,38 @@ def _scan_dsatur(
 
 
 def _both_kernels(adj, k, precolouring=None, seed=None, **limits):
-    """Run the kernel and the scan on one input; return each outcome and RNG state."""
+    """Run the kernel and the scan on one input; return each outcome and RNG state.
+
+    The scan draws through ``rng.choice`` and ``rng.shuffle``, so equal RNG
+    states show that the kernel's inline draws are theirs, call for call.
+    """
     outcomes = []
-    for kernel in (_dsatur, _scan_dsatur):
+    for kernel, graph in ((_dsatur, _bit_layout(adj)), (_scan_dsatur, adj)):
         rng = None if seed is None else random.Random(seed)
         try:
-            result = kernel(adj, k, precolouring, rng=rng, **limits)
+            result = kernel(graph, k, precolouring, rng=rng, **limits)
         except BudgetExceeded as error:
             result = str(error)
         outcomes.append((result, rng and rng.getstate()))
     return outcomes
 
 
+def _set_greedy_clique(adj):
+    """Vertices by (-degree, index), each kept if adjacent to all kept before it."""
+    neighbours = [set(a) for a in adj]
+    order = sorted(range(len(adj)), key=lambda v: (-len(adj[v]), v))
+    clique = []
+    for v in order:
+        if all(u in neighbours[v] for u in clique):
+            clique.append(v)
+    return clique
+
+
 def _search_input(graph, k):
     """Adjacency and the precoloured clique that k_colourable hands the kernel."""
     adj = graph.adjacency()
-    clique = _greedy_clique(adj)
+    clique = _clique(_bit_layout(adj))
+    assert clique == _set_greedy_clique(adj)
     return adj, {v: i for i, v in enumerate(clique[:k], start=1)}
 
 
@@ -369,6 +386,7 @@ def test_kernel_matches_scan_on_random_graphs(case):
     adj, k, precolouring, seed, limits = case
     kernel, scan = _both_kernels(adj, k, precolouring, seed, **limits)
     assert kernel == scan
+    assert _clique(_bit_layout(adj)) == _set_greedy_clique(adj)
 
 
 def test_greedy_colouring_matches_scan():

@@ -125,6 +125,19 @@ def test_is_proper():
     assert is_proper(PathInstance(CYCLE, (1, 2)))
 
 
+@pytest.mark.parametrize("topology", [PATH, CYCLE])
+def test_is_proper_gives_the_same_answer_for_wide_labels(topology):
+    # Labels 1, 2, 3 as 255, 256, 257: bytes for some sequences, not for others.
+    for length in range(2, 7):
+        for labels in itertools.product((1, 2, 3), repeat=length):
+            expected = all(map(int.__ne__, labels, labels[1:]))
+            if topology == CYCLE:
+                expected = expected and labels[0] != labels[-1]
+            wide = tuple(x + 254 for x in labels)
+            assert is_proper(PathInstance(topology, labels)) == expected
+            assert is_proper(PathInstance(topology, wide)) == expected
+
+
 def test_instance_validation():
     with pytest.raises(ValueError):
         PathInstance("ring", (1, 2))
@@ -146,6 +159,15 @@ def test_run_rejects_improper_and_out_of_palette():
         run_algorithm(alg, PathInstance(PATH, (1, 1, 2)))
     with pytest.raises(ValueError):
         run_algorithm(alg, PathInstance(PATH, (1, 4)))
+
+
+def test_run_rejects_a_zero_byte_in_its_output():
+    # A table stage over 3 colours runs as bytes; one window maps to 0.
+    zero = ReductionAlgorithm(
+        ONE_SIDED, 1, Palette(3), Palette(3), lambda w: 0 if w == (2, 3) else w[0], name="zero"
+    )
+    with pytest.raises(ValueError, match="labels must be positive integers"):
+        run_algorithm(zero, PathInstance(PATH, (1, 2, 3) * 4))
 
 
 def _predecessor_echo(n):
@@ -244,6 +266,61 @@ def test_exhaustive_check_passes_identity_rejects_constant():
         ONE_SIDED, 1, Palette(4), Palette(4), lambda w: 1, name="constant"
     )
     assert not exhaustive_properness_check(constant)
+
+
+def _pair_check(alg):
+    """The properness contract read literally: both windows of every sequence one longer."""
+    wl, c = alg.window_length, alg.out_palette.size
+    for seq in proper_sequences(alg.in_palette.size, wl + 1):
+        a, b = alg.rule(seq[:wl]), alg.rule(seq[1:])
+        if a == b or not (1 <= a <= c) or not (1 <= b <= c):
+            return False
+    return True
+
+
+def _small_tables(rng):
+    """Tables for n <= 5, t <= 3: proper ones, the same with a few entries changed, random ones."""
+    for _ in range(400):
+        n, t, c = rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 4)
+        windows = list(proper_sequences(n, t + 1))
+        kind = rng.choice(["own", "predecessor", "random"])
+        if kind == "random" or (kind == "predecessor" and t == 0):
+            table = {w: rng.randint(1, c) for w in windows}
+        else:
+            # the own colour and the predecessor's are proper; relabel injectively
+            c = n + rng.randint(0, 2)
+            relabel = dict(zip(range(1, n + 1), rng.sample(range(1, c + 1), n)))
+            table = {w: relabel[w[-1] if kind == "own" else w[-2]] for w in windows}
+        for w in rng.sample(windows, min(len(windows), rng.choice([0, 0, 1, 2]))):
+            table[w] = rng.randint(0, c + 1)  # 0 and c + 1 leave the palette
+        yield ReductionAlgorithm(ONE_SIDED, t, Palette(n), Palette(c), table.__getitem__)
+
+
+def test_stem_check_matches_the_pair_loop():
+    verdicts = []
+    for alg in _small_tables(random.Random(3)):
+        verdicts.append(exhaustive_properness_check(alg))
+        assert verdicts[-1] == _pair_check(alg), alg
+    assert 50 < sum(verdicts) < len(verdicts) - 50
+
+
+def test_stem_check_calls_the_rule_twice_per_window():
+    calls = []
+    alg = ReductionAlgorithm(
+        ONE_SIDED, 2, Palette(5), Palette(5), lambda w: calls.append(w) or w[-1]
+    )
+    assert exhaustive_properness_check(alg)
+    assert len(calls) == 2 * count_proper_sequences(5, 3) and len(set(calls)) == len(calls) // 2
+
+
+@pytest.mark.parametrize("t", [0, 1, 3])
+def test_exhaustive_check_of_one_colour_calls_no_rule(t):
+    def rule(window):
+        raise AssertionError(f"rule called on {window}")
+
+    # one colour has no adjacent-distinct pair of windows, so every table is proper
+    alg = ReductionAlgorithm(ONE_SIDED, t, Palette(1), Palette(1), rule)
+    assert exhaustive_properness_check(alg)
 
 
 def test_exhaustive_check_budget():

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import pathchroma.speedup as speedup
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
@@ -37,3 +39,18 @@ def test_every_benchmark_job_runs(perfbench):
     # traced runs wrap the tower's stage rules, so the tower jobs run traced too
     for job in workloads.build_jobs(("tower",), 1):
         assert job.run(spans.Tracer())
+
+
+def test_traced_run_counts_sampler_restarts(perfbench):
+    # The traced run wraps speedup._random_dsatur by name, one call per restart.
+    spans, workloads, run = perfbench
+    attempt = speedup._random_dsatur
+    tracer = spans.Tracer()
+    restore = run.count_sampler_attempts(tracer)
+    try:
+        for job in workloads.build_jobs(("sample",), 1):
+            assert job.run(tracer)
+    finally:
+        restore()
+    assert tracer.counts["speedup.random_proper_table.attempts"] > 0
+    assert speedup._random_dsatur is attempt

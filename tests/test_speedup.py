@@ -5,7 +5,7 @@ import itertools
 
 import pytest
 
-from pathchroma.chroma import k_colourable
+from pathchroma.chroma import _bit_layout, _dsatur, k_colourable
 from pathchroma.errors import BudgetExceeded
 from pathchroma.graphs import UGraph
 from pathchroma.model import (
@@ -271,6 +271,25 @@ def test_random_proper_table_says_when_feasibility_is_open():
     # Here the complete search finds a table that the one restart missed.
     with pytest.raises(RuntimeError, match="not found; a table exists .* 108 nodes"):
         random_proper_table(4, 3, 3, 8, max_backtracks=112, restarts=1)
+
+
+def test_random_proper_table_lays_out_its_window_graph_once(monkeypatch):
+    # (7, 2, 4) with seed 10 takes six restarts, and a complete search after the first.
+    layouts, searched = [], []
+
+    def bit_layout(adj):
+        layouts.append(_bit_layout(adj))
+        return layouts[-1]
+
+    def dsatur(layout, *args, **kwargs):
+        searched.append(layout)
+        return _dsatur(layout, *args, **kwargs)
+
+    monkeypatch.setattr(speedup, "_bit_layout", bit_layout)
+    monkeypatch.setattr(speedup, "_dsatur", dsatur)
+    random_proper_table(7, 2, 4, 10)
+    assert len(layouts) == 1
+    assert len(searched) == 7 and all(layout is layouts[0] for layout in searched)
 
 
 @pytest.mark.parametrize("n,t,c,seed", [(4, 2, 3, 0), (6, 1, 4, 1), (4, 3, 3, 2), (6, 2, 4, 3)])

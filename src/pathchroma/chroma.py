@@ -371,8 +371,14 @@ def k_colourable(
     """
     if k < 1:
         raise ValueError("k must be positive")
+    return _k_colourable(graph, _bit_layout(graph.adjacency()), k, node_limit)
+
+
+def _k_colourable(
+    graph: UGraph, layout: _BitLayout, k: int, node_limit: int | None
+) -> ColouringCertificate:
+    """:func:`k_colourable` on the graph's layout, which the caller may share."""
     node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
-    layout = _bit_layout(graph.adjacency())
     # Precolouring a clique is sound up to permuting colours; if the clique
     # is larger than k the leftover members simply have empty domains.
     precolouring = {v: i for i, v in enumerate(_clique(layout)[:k], start=1)}
@@ -385,13 +391,18 @@ def k_colourable(
 
 
 def chromatic_number(graph: UGraph, *, node_limit: int | None = None) -> int:
-    """Least k admitting a proper colouring, bracketed by clique and greedy bounds."""
+    """Least k admitting a proper colouring, bracketed by clique and greedy bounds.
+
+    The graph is laid out once, for both bounds and every k tried.
+    """
     if graph.vertex_count == 0:
         return 0
-    lower = max(1, len(_clique(_bit_layout(graph.adjacency()))))
-    _, upper = greedy_colouring(graph)
+    layout = _bit_layout(graph.adjacency())
+    lower = max(1, len(_clique(layout)))
+    colour, _ = _dsatur(layout, graph.vertex_count)  # greedy_colouring's search
+    upper = max(colour)
     for k in range(lower, upper):
-        if k_colourable(graph, k, node_limit=node_limit).satisfiable:
+        if _k_colourable(graph, layout, k, node_limit).satisfiable:
             return k
     return upper
 

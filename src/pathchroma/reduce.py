@@ -40,6 +40,9 @@ _ISOLATE = bytes(b & -b for b in range(256))
 _ONE = bytes(map(bool, range(256)))
 _LOW = [bytes(b and 8 * p + b.bit_length() for b in _ISOLATE) for p in range(8)]
 _LOW_CV = [bytes(b and 16 * p + 2 * b.bit_length() - 1 for b in _ISOLATE) for p in range(8)]
+# Colours whose masks ``_subset_minima`` gathers at a time, so that the
+# gather holds a few thousand transient ints, not one per node.
+_GATHER = 4096
 
 
 def _lane_width(size: int) -> int | None:
@@ -78,24 +81,26 @@ def _colex_unrank_mask(rank: int, k: int, m: int) -> int:
     return mask
 
 
-def _colex_masks(k: int, count: int) -> list[int]:
-    """Subset masks of colex ranks 1..count, built a block at a time.
+def _colex_masks(k: int, count: int) -> array | list[int]:
+    """Subset masks of colex ranks 0..count: ``masks[c]`` is colour c's, masks[0] = 0.
 
     Colex order on k-subsets is increasing numeric order of their bitmasks.
     The j-subsets whose largest element is bit a-1 are the first C(a-1, j-1)
     (j-1)-subsets, each with bit a-1 added, so every level of j-subsets is
     a run of blocks cut from the level below.  A level is kept as bytes of
     fixed-width lanes, and one big-int OR adds the bit to a whole block.
-    Masks wider than 64 bits step Gosper's hack instead: for a small count
-    the k levels would hold up to k lanes of k bits each, where the hack
-    takes count steps.
+    The masks come back packed, as an ``array`` of the least lane width
+    that holds them (1 to 8 bytes per colour).  Masks wider than 64 bits
+    step Gosper's hack into a list instead: for a small count the k levels
+    would hold up to k lanes of k bits each, where the hack takes count
+    steps.
     """
     top = k  # every one of the count subsets lies within bits 0..top-1
     while comb(top, k) < count:
         top += 1
     width = _lane_width(-(-top // 8))
     if width is None:
-        masks = []
+        masks = [0]
         x = (1 << k) - 1
         for _ in range(count):
             masks.append(x)
@@ -106,7 +111,7 @@ def _colex_masks(k: int, count: int) -> list[int]:
     order = sys.byteorder
     level = bytes(width)  # the one 0-subset
     for j in range(1, k + 1):
-        blocks = []
+        blocks = [bytes(width)] if j == k else []  # the last level leads with masks[0]
         size = 1  # C(a-1, j-1)
         for a in range(j, top - k + j + 1):
             if j == k:  # the last level stops at count subsets
@@ -117,10 +122,10 @@ def _colex_masks(k: int, count: int) -> list[int]:
             blocks.append(block.to_bytes(size * width, "little"))
             size = size * a // (a - j + 1)
         level = b"".join(blocks)
-    return array(_TYPECODES[width], level).tolist()
+    return array(_TYPECODES[width], level)
 
 
-def _plane(lanes: bytes, width: int, p: int) -> bytes:
+def _plane(lanes: bytes | memoryview, width: int, p: int) -> bytes | memoryview:
     """Byte p (bits 8p..8p+7) of every native ``width``-byte lane."""
     return lanes[p if sys.byteorder == "little" else width - 1 - p :: width]
 
@@ -136,23 +141,37 @@ def _lowest_plane(values: list[bytes]) -> bytes:
     return out.to_bytes(len(values[0]), "little")
 
 
-def _subset_minima(seq, masks: list[int], n: int, k: int) -> bytes:
+def _subset_minima(seq, masks: array) -> bytes:
     """The ns rule on every pair of adjacent colours in ``seq``, as bytes.
 
-    ``seq`` is a proper colouring in 1..n, and k <= 32, so each 2k-bit mask
-    fits an 8-byte lane.  The masks of all colours are gathered into lanes,
-    ``u & ~v`` is one big-int operation over all pairs, and the lowest set
-    bit of each lane comes from one 256-byte translate per byte plane.
+    ``seq`` is a proper colouring in 1..n, and ``masks`` is
+    ``_colex_masks(k, n)`` for k <= 32, packed in lanes of at most 8 bytes.
+    The masks of all colours are gathered into lanes of that width, a few
+    thousand colours at a time, ``u & ~v`` is one big-int operation over
+    all pairs, and the lowest set bit of each lane comes from one 256-byte
+    translate per byte plane the masks reach.  Each full-length operand
+    is a view or is released as soon as it has been used.
     """
-    planes = -(-k // 4)  # bytes of a 2k-bit mask
-    if planes == 1:  # n <= C(8, 4): one translate gathers the masks
-        lanes, width = bytes(seq).translate(bytes(masks) + bytes(255 - n)), 1
+    width = masks.itemsize
+    planes = -(-masks[-1].bit_length() // 8)  # the last mask is the largest
+    if width == 1:  # n <= 70: one translate gathers the masks
+        lanes = bytes(seq).translate(masks.tobytes().ljust(256, b"\0"))
     else:
-        width = _lane_width(planes)
-        lanes = array(_TYPECODES[width], itemgetter(*seq)(masks)).tobytes()
-    u = int.from_bytes(lanes[:-width], "little")
-    v = int.from_bytes(lanes[width:], "little")
-    d = ((u | v) ^ v).to_bytes(len(lanes) - width, "little")  # u & ~v
+        lanes = array(masks.typecode)
+        for i in range(0, len(seq), _GATHER):
+            chunk = seq[i : i + _GATHER]
+            got = itemgetter(*chunk)(masks)
+            lanes.extend(got if len(chunk) > 1 else (got,))  # one item comes back bare
+    size = (len(lanes) - 1) * width
+    view = memoryview(lanes)
+    u = int.from_bytes(view[:-1], "little")
+    v = int.from_bytes(view[1:], "little")
+    del view, lanes
+    u |= v
+    u ^= v  # u & ~v
+    del v
+    d = u.to_bytes(size, "little")
+    del u
     return _lowest_plane([_plane(d, width, p).translate(_LOW[p]) for p in range(planes)])
 
 
@@ -163,18 +182,24 @@ def _bit_pairs(seq, k: int) -> bytes:
     fits an 8-byte lane.  The colours go into lanes wide enough for 2^k,
     one subtraction makes them u - 1, one XOR gives every pair's differing
     bits, and the planes of those and of v - 1 give the lowest differing
-    bit and v - 1's bit there.
+    bit and v - 1's bit there.  Each full-length operand is a view or is
+    released as soon as it has been used.
     """
     width = _lane_width(k // 8 + 1)  # k + 1 bits
     typecode = _TYPECODES[width]
     # array() would read bytes as raw machine items, not as colours
     lanes = array(typecode, seq if isinstance(seq, (list, tuple)) else list(seq))
     order = sys.byteorder
-    ones = int.from_bytes(array(typecode, [1]).tobytes() * len(lanes), order)
-    lowered = int.from_bytes(lanes, order) - ones  # colour - 1 in every lane
-    lanes = lowered.to_bytes(len(lanes) * width, order)
-    v = lanes[width:]
-    diff = int.from_bytes(lanes[:-width], "little") ^ int.from_bytes(v, "little")
+    count = len(lanes)
+    lowered = int.from_bytes(lanes, order)
+    del lanes
+    lowered -= int.from_bytes(array(typecode, [1]).tobytes() * count, order)
+    lanes = lowered.to_bytes(count * width, order)  # colour - 1 in every lane
+    del lowered
+    view = memoryview(lanes)
+    v = view[width:]
+    diff = int.from_bytes(view[:-width], "little")
+    diff ^= int.from_bytes(v, "little")
     diff = diff.to_bytes(len(v), "little")
     values = []
     for p in range(-(-k // 8)):
@@ -236,9 +261,10 @@ def least_ns_k(c: int | TowerValue) -> int:
     return k
 
 
-# Palettes up to this many colours read their subset masks from a list
-# built by ``_colex_masks`` (about 36 bytes per colour); larger and symbolic
-# palettes unrank each colour on first sight and cache it.
+# Palettes up to this many colours read their subset masks from the table
+# built by ``_colex_masks`` (packed, 1 to 8 bytes per colour: 4 for 98,304
+# colours); larger and symbolic palettes unrank each colour on first sight
+# and cache it.
 _MASK_LIST_LIMIT = 1 << 20
 
 
@@ -249,12 +275,13 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     with colour v receiving u from its predecessor outputs min f(u) \\ f(v).
     Evaluated in closed form.  For palettes of at most 2^20 colours the first
     call builds the masks of all n colours at once and publishes the
-    finished list, so concurrent callers at worst build it twice; for
-    k <= 32 the rule then has a sequence form, ``rule.over(seq)``, that the
-    simulator runs over all nodes at once (``_subset_minima``).  Larger
-    palettes cache masks per colour in a ``functools.lru_cache``.  The rule
-    of a symbolic palette (tower height 6 and up) raises ValueError: its
-    masks would not fit in memory.
+    finished table, packed in an ``array`` of 1 to 8 bytes per colour, so
+    concurrent callers at worst build it twice; for k <= 32 the rule then
+    has a sequence form, ``rule.over(seq)``, that the simulator runs over
+    all nodes at once (``_subset_minima``).  Larger palettes cache masks
+    per colour in a ``functools.lru_cache``.  The rule of a symbolic
+    palette (tower height 6 and up) raises ValueError: its masks would not
+    fit in memory.
 
     The rule and its form are defined on valid windows only, two distinct
     colours in 1..n, and do not check them: the tower's level 0 and
@@ -268,12 +295,12 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
         raise ValueError(f"n={n} exceeds C({2 * k},{k}) colour codes")
 
     if isinstance(n, int) and n <= _MASK_LIST_LIMIT:
-        masks: list[int] | None = None
+        masks: array | list[int] | None = None
 
-        def built() -> list[int]:
+        def built() -> array | list[int]:
             nonlocal masks
             if masks is None:
-                masks = [0, *_colex_masks(k, n)]  # masks[c] is colour c's subset
+                masks = _colex_masks(k, n)  # masks[c] is colour c's subset
             return masks
 
         def rule(window: ColourWindow) -> int:
@@ -286,7 +313,7 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
         if k <= 32:  # 2k-bit masks fit 8-byte lanes
 
             def over(seq) -> bytes:
-                return _subset_minima(seq, built(), n, k)
+                return _subset_minima(seq, built())
 
             # An attribute, not a field: a replaced or wrapped rule has no form.
             rule.over = over

@@ -5,11 +5,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pathchroma.chroma as chroma
 from pathchroma.errors import BudgetExceeded
 from pathchroma.chroma import (
     _bit_layout,
     _clique,
     _dsatur,
+    _k_colourable,
     _nth_highest_bit,
     chromatic_number,
     export_cnf,
@@ -100,6 +102,24 @@ def test_seventeen_node_refutation_runs_fast():
     cert = k_colourable(g, 3)
     assert not cert.satisfiable
     assert cert.nodes > 0
+
+
+def test_chromatic_number_lays_the_graph_out_once(monkeypatch):
+    # N(7, 1) has clique bound 3 and greedy bound 4, and chi = 4, so the
+    # search tries k = 3 once; one layout serves both bounds and that try.
+    g = neighbourhood_graph(7, 1)
+    layout = _bit_layout(g.adjacency())
+    assert len(_clique(layout)) == 3 and greedy_colouring(g)[1] == 4
+    assert _k_colourable(g, layout, 3, None) == k_colourable(g, 3)  # same verdict and nodes
+    calls = []
+
+    def counted(adj):
+        calls.append(adj)
+        return _bit_layout(adj)
+
+    monkeypatch.setattr(chroma, "_bit_layout", counted)
+    assert chromatic_number(g) == 4
+    assert len(calls) == 1
 
 
 def test_worst_case_graph_sixteen_colourable():

@@ -1,6 +1,8 @@
 import dataclasses
 import itertools
 import random
+import tracemalloc
+from array import array
 from functools import lru_cache
 from math import comb
 
@@ -98,21 +100,26 @@ def test_colex_masks_follow_colex_rank_order():
         for m in range(k, 13):
             count = comb(m, k)
             expected = [_mask(colex_unrank(rank, k, m)) for rank in range(1, count + 1)]
-            assert _colex_masks(k, count) == expected
+            masks = _colex_masks(k, count)
+            assert isinstance(masks, array) and masks.tolist() == [0, *expected]
     masks = _colex_masks(10, comb(20, 10))
+    assert isinstance(masks, array) and len(masks) == comb(20, 10) + 1 and masks[0] == 0
     for rank in random.Random(20).sample(range(1, comb(20, 10) + 1), 2000):
-        assert masks[rank - 1] == _mask(colex_unrank(rank, 10, 20))
-        assert masks[rank - 1] == _colex_unrank_mask(rank, 10, 20)
+        assert masks[rank] == _mask(colex_unrank(rank, 10, 20))
+        assert masks[rank] == _colex_unrank_mask(rank, 10, 20)
 
 
 def test_colex_masks_wider_than_a_lane():
     # C(64, 62) = 2016 masks fit 64-bit lanes; the 2017th needs bit 64, so
-    # 3000 masks take the Gosper step.  Both agree with the unranker.
-    for count in (2016, 3000):
+    # 3000 masks take the Gosper step into a list.  Both agree with the
+    # unranker, after the empty mask of colour 0.
+    for count, kind in ((2016, array), (3000, list)):
         masks = _colex_masks(62, count)
-        assert masks == [_colex_unrank_mask(rank, 62, 66) for rank in range(1, count + 1)]
+        assert type(masks) is kind
+        assert list(masks) == [0, *(_colex_unrank_mask(r, 62, 66) for r in range(1, count + 1))]
     # A small palette with a large k builds count masks, not k levels of lanes.
-    assert _colex_masks(10**4, 5) == [_colex_unrank_mask(r, 10**4, 10**4 + 1) for r in range(1, 6)]
+    expected = [0, *(_colex_unrank_mask(r, 10**4, 10**4 + 1) for r in range(1, 6))]
+    assert _colex_masks(10**4, 5) == expected
     rule = ns_algorithm(5, 10**4).rule
     values = (1, 5, 2, 4, 3, 1, 2)
     assert not hasattr(rule, "over")  # masks wider than 8-byte lanes get no form
@@ -490,15 +497,19 @@ def test_sequence_forms_match_the_rule(case, data):
 
 
 def test_sequence_forms_take_proper_sequences():
-    # Proper input in range: every form answers, whatever the input type.
+    # Proper input in range: every form answers, whatever the input type,
+    # on sequences shorter than the ns gather's chunk, of one chunk, and of
+    # one or two chunks and one colour more.
+    chunk = reduce_module._GATHER
     for kind, n, k in _FORM_CASES:
         rule = _form_stage(kind, n, k).rule
-        values = random_proper_instance(n, 200, seed=k).labels
-        expected = list(map(rule, zip(values, values[1:])))
-        for seq in (values, list(values)):
-            assert list(rule.over(seq)) == expected
-        if n < 256:
-            assert list(rule.over(bytes(values))) == expected
+        for length in (2, 200, chunk, chunk + 1, 2 * chunk + 1):
+            values = random_proper_instance(n, length, seed=k).labels
+            expected = list(map(rule, zip(values, values[1:])))
+            for seq in (values, list(values)):
+                assert list(rule.over(seq)) == expected
+            if n < 256:
+                assert list(rule.over(bytes(values))) == expected
 
 
 def test_sequence_form_at_the_mask_list_limit():
@@ -509,3 +520,26 @@ def test_sequence_form_at_the_mask_list_limit():
     assert list(stage.rule.over(values)) == list(map(stage.rule, zip(values, values[1:])))
     for bad in ([], [limit, 1, limit, limit - 1], [3, 0, 5], [1, limit + 1], [7, 7, 2], [2, -1]):
         _check_form(stage, values[:20] + bad)
+
+
+def test_large_palette_masks_stay_packed():
+    # 98,304 colours take k = 10, whose masks reach bit 19: 4 bytes per
+    # colour, behind colour 0's empty mask.
+    masks = _colex_masks(10, 98304)
+    assert isinstance(masks, array) and masks.itemsize == 4
+    assert len(masks) == 98305 and masks[0] == 0
+    # The schedule on a 10^5-node cycle, traced above the instance's own
+    # memory, mask build included: about 3.0 MB with packed masks and
+    # released operands, against 6.9 MB with a list of masks and
+    # full-length copies of the shifted sequences.
+    instance = random_proper_instance(98304, 10**5, seed=5)
+    algorithm = compose(ns_schedule(98304))
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        output = run_algorithm(algorithm, instance)
+        peak = tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+    assert is_proper(output) and set(output.labels) <= {1, 2, 3}
+    assert peak < 4.0e6, f"peak {peak / 1e6:.2f} MB"

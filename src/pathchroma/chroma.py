@@ -24,8 +24,8 @@ above the largest in use, each found by a scan upward from the last one
 tried when the search comes back to the vertex.  UNSAT answers certify
 graph-colouring lemmas, so colour symmetry is broken only soundly, by that
 fresh-colour cap and a precoloured greedy clique.  With k equal to the
-vertex count its first descent never backtracks, and it is
-:func:`greedy_colouring`.
+vertex count its first descent never backtracks: it is the greedy
+colouring behind the upper bound of :func:`chromatic_number`.
 
 With an RNG it is the restart body of ``speedup.random_proper_table``: the
 tied vertices, in ascending index order, and a shuffled order of all free
@@ -348,12 +348,6 @@ def _dsatur(
     return colour, nodes
 
 
-def greedy_colouring(graph: UGraph) -> tuple[dict, int]:
-    """Saturation-first greedy colouring; returns (assignment, colours used)."""
-    colour, _ = _dsatur(_bit_layout(graph.adjacency()), graph.vertex_count)
-    return dict(zip(graph.labels, colour)), max(colour, default=0)
-
-
 def is_proper_colouring(graph: UGraph, assignment: dict) -> bool:
     labels = graph.labels
     return all(assignment[labels[i]] != assignment[labels[j]] for i, j in graph.edges)
@@ -399,7 +393,7 @@ def chromatic_number(graph: UGraph, *, node_limit: int | None = None) -> int:
         return 0
     layout = _bit_layout(graph.adjacency())
     lower = max(1, len(_clique(layout)))
-    colour, _ = _dsatur(layout, graph.vertex_count)  # greedy_colouring's search
+    colour, _ = _dsatur(layout, graph.vertex_count)  # greedy: never backtracks
     upper = max(colour)
     for k in range(lower, upper):
         if _k_colourable(graph, layout, k, node_limit).satisfiable:

@@ -284,8 +284,10 @@ def _virtual_run(end: int, count: int) -> list[int]:
 class _WindowTable(dict):
     """Window -> output table of one rule, filled as windows first appear.
 
-    Shared by ``run_algorithm``, ``speed_up`` and the speed-up tower's
-    stage-wise level 0; a raising rule adds no entry.
+    The package's only lazily filled table.  ``run_algorithm``, ``speed_up``
+    and the speed-up tower's stage-wise level 0 key it by window; the ns
+    rule of more than 2^20 colours keys it by colour, to the colour's
+    subset mask.  A raising rule adds no entry.
     """
 
     __slots__ = ("rule",)
@@ -708,11 +710,15 @@ def _smallest_tower_plus_one_ge(n: int | TowerValue) -> int:
 def bounds_report(n: int | TowerValue) -> BoundsReport:
     """Round-complexity bounds for colour reduction from n to 3 colours.
 
-    lowerT is the largest h with tower(h) <= n; upperT comes from the
-    schedule arithmetic (smallest h with n <= tower(h)+1, plus one round),
-    except at n = 4 where the two-round reducer is known optimal.  The
-    two-sided bounds combine the log*-based window with the transfer
-    C = ceil(T/2), whichever is tighter on each side.
+    lowerT is the largest h with tower(h) <= n; upperT is the tower
+    arithmetic's bound (smallest h with n <= tower(h)+1, plus one round),
+    except at n = 4 where the two-round reducer is known optimal.  It is a
+    valid upper bound but not the rounds of ``reduce.ns_schedule(n)``:
+    those do not fall as n grows and are at most h + 1 at n = tower(h) + 1,
+    so upperT is never below them, and it exceeds them by one at n = 6,
+    18-20 and 65,538-184,756.  The two-sided bounds combine the log*-based
+    window with the transfer C = ceil(T/2), whichever is tighter on each
+    side.
     """
     if n < 4:
         raise ValueError("bounds are defined for n >= 4")

@@ -12,7 +12,7 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 from operator import itemgetter
 from typing import Sequence
@@ -23,6 +23,7 @@ from .model import (
     ReductionAlgorithm,
     TowerValue,
     ColourWindow,
+    _WindowTable,
     format_count,
     identity_algorithm,
     tower,
@@ -145,12 +146,14 @@ def _subset_minima(seq, masks: array) -> bytes:
     """The ns rule on every pair of adjacent colours in ``seq``, as bytes.
 
     ``seq`` is a proper colouring in 1..n, and ``masks`` is
-    ``_colex_masks(k, n)`` for k <= 32, packed in lanes of at most 8 bytes.
-    The masks of all colours are gathered into lanes of that width, a few
-    thousand colours at a time, ``u & ~v`` is one big-int operation over
-    all pairs, and the lowest set bit of each lane comes from one 256-byte
-    translate per byte plane the masks reach.  Each full-length operand
-    is a view or is released as soon as it has been used.
+    ``_colex_masks(k, n)`` packed in an ``array`` of lanes of at most 8
+    bytes: every table for k <= 32, and for a larger k a palette small
+    enough that its masks stay within 64 bits.  The masks of all colours
+    are gathered into lanes of that width, a few thousand colours at a
+    time, ``u & ~v`` is one big-int operation over all pairs, and the
+    lowest set bit of each lane comes from one 256-byte translate per byte
+    plane the masks reach.  Each full-length operand is a view or is
+    released as soon as it has been used.
     """
     width = masks.itemsize
     planes = -(-masks[-1].bit_length() // 8)  # the last mask is the largest
@@ -261,10 +264,10 @@ def least_ns_k(c: int | TowerValue) -> int:
     return k
 
 
-# Palettes up to this many colours read their subset masks from the table
-# built by ``_colex_masks`` (packed, 1 to 8 bytes per colour: 4 for 98,304
-# colours); larger and symbolic palettes unrank each colour on first sight
-# and cache it.
+# Palettes up to this many colours build the subset masks of all their
+# colours with the rule, in the table of ``_colex_masks`` (packed, 1 to 8
+# bytes per colour: 4 for 98,304 colours); larger palettes unrank each
+# colour on first sight into a ``_WindowTable``.
 _MASK_LIST_LIMIT = 1 << 20
 
 
@@ -272,16 +275,15 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
     """One-round reduction from n <= C(2k,k) colours to 2k colours.
 
     Colours are read as k-subsets of [2k] through the colex code; a node
-    with colour v receiving u from its predecessor outputs min f(u) \\ f(v).
-    Evaluated in closed form.  For palettes of at most 2^20 colours the first
-    call builds the masks of all n colours at once and publishes the
-    finished table, packed in an ``array`` of 1 to 8 bytes per colour, so
-    concurrent callers at worst build it twice; for k <= 32 the rule then
-    has a sequence form, ``rule.over(seq)``, that the simulator runs over
-    all nodes at once (``_subset_minima``).  Larger palettes cache masks
-    per colour in a ``functools.lru_cache``.  The rule of a symbolic
-    palette (tower height 6 and up) raises ValueError: its masks would not
-    fit in memory.
+    with colour v receiving u from its predecessor outputs min f(u) \\ f(v),
+    read off the subset masks ``masks[u] & ~masks[v]``.  For palettes of at
+    most 2^20 colours the masks of all n colours are built with the rule,
+    by ``_colex_masks``; where that table is packed in an ``array`` (masks
+    that fit 8-byte lanes) the rule has a sequence form, ``rule.over(seq)``,
+    that the simulator runs over all nodes at once (``_subset_minima``).
+    Larger palettes unrank each colour on first sight into a
+    ``model._WindowTable``.  The rule of a symbolic palette (tower height 6
+    and up) raises ValueError: its masks would not fit in memory.
 
     The rule and its form are defined on valid windows only, two distinct
     colours in 1..n, and do not check them: the tower's level 0 and
@@ -295,45 +297,28 @@ def ns_algorithm(n: int | TowerValue, k: int) -> ReductionAlgorithm:
         raise ValueError(f"n={n} exceeds C({2 * k},{k}) colour codes")
 
     if isinstance(n, int) and n <= _MASK_LIST_LIMIT:
-        masks: array | list[int] | None = None
-
-        def built() -> array | list[int]:
-            nonlocal masks
-            if masks is None:
-                masks = _colex_masks(k, n)  # masks[c] is colour c's subset
-            return masks
-
-        def rule(window: ColourWindow) -> int:
-            if masks is None:
-                built()
-            u, v = window
-            d = masks[u] & ~masks[v]
-            return (d & -d).bit_length()
-
-        if k <= 32:  # 2k-bit masks fit 8-byte lanes
-
-            def over(seq) -> bytes:
-                return _subset_minima(seq, built())
-
-            # An attribute, not a field: a replaced or wrapped rule has no form.
-            rule.over = over
-
+        masks = _colex_masks(k, n)  # masks[c] is colour c's subset
     elif isinstance(n, int):
-        mask = lru_cache(maxsize=None)(partial(_colex_unrank_mask, k=k, m=2 * k))
-
-        def rule(window: ColourWindow) -> int:
-            u, v = window
-            d = mask(u) & ~mask(v)
-            return (d & -d).bit_length()
-
+        masks = _WindowTable(partial(_colex_unrank_mask, k=k, m=2 * k))
     else:
 
-        def rule(window: ColourWindow) -> int:
+        def unmasked(colour: int) -> int:
             # A symbolic palette needs k of about 2^65535 or more, so no
             # colour's k-subset mask fits in memory.
             raise ValueError(
                 f"cannot evaluate ns k={format_count(k)} on a symbolic palette of {n} colours"
             )
+
+        masks = _WindowTable(unmasked)
+
+    def rule(window: ColourWindow) -> int:
+        u, v = window
+        d = masks[u] & ~masks[v]
+        return (d & -d).bit_length()
+
+    if isinstance(masks, array):
+        # An attribute, not a field: a replaced or wrapped rule has no form.
+        rule.over = partial(_subset_minima, masks=masks)
 
     return ReductionAlgorithm(
         ONE_SIDED, 1, Palette(n), Palette(2 * k), rule, name=f"ns k={format_count(k)}"

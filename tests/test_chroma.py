@@ -15,7 +15,6 @@ from pathchroma.chroma import (
     _nth_highest_bit,
     chromatic_number,
     export_cnf,
-    greedy_colouring,
     is_proper_colouring,
     k_colourable,
 )
@@ -56,6 +55,13 @@ def _corpus():
     c5 = UGraph.from_label_edges(range(5), [(i, (i + 1) % 5) for i in range(5)])
     edgeless = UGraph(tuple(range(5)), frozenset())
     return [triangle(), path4, k33, k4, c5, edgeless, petersen(), neighbourhood_graph(3, 1)]
+
+
+def _greedy(graph):
+    # The kernel's greedy mode: with k equal to the vertex count its first
+    # descent never backtracks.  Returns (assignment, colours used).
+    colour, _ = _dsatur(_bit_layout(graph.adjacency()), graph.vertex_count)
+    return dict(zip(graph.labels, colour)), max(colour)
 
 
 def test_triangle_colourability():
@@ -109,7 +115,7 @@ def test_chromatic_number_lays_the_graph_out_once(monkeypatch):
     # search tries k = 3 once; one layout serves both bounds and that try.
     g = neighbourhood_graph(7, 1)
     layout = _bit_layout(g.adjacency())
-    assert len(_clique(layout)) == 3 and greedy_colouring(g)[1] == 4
+    assert len(_clique(layout)) == 3 and _greedy(g)[1] == 4
     assert _k_colourable(g, layout, 3, None) == k_colourable(g, 3)  # same verdict and nodes
     calls = []
 
@@ -147,7 +153,7 @@ def test_certificate_text():
 
 def test_greedy_colouring_proper():
     for graph in _corpus():
-        assignment, used = greedy_colouring(graph)
+        assignment, used = _greedy(graph)
         if graph.vertex_count:
             assert is_proper_colouring(graph, assignment)
             assert used >= chromatic_number(graph)
@@ -414,7 +420,7 @@ def test_greedy_colouring_matches_scan():
     graph = UGraph.from_label_edges(
         range(100), rng.sample(list(itertools.combinations(range(100), 2)), 600)
     )
-    assignment, used = greedy_colouring(graph)
+    assignment, used = _greedy(graph)
     colour, nodes = _scan_dsatur(graph.adjacency(), graph.vertex_count)
     assert [assignment[v] for v in range(100)] == colour
     assert (used, nodes) == (max(colour), 100)

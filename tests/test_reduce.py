@@ -17,6 +17,7 @@ from pathchroma.model import (
     PathInstance,
     ReductionAlgorithm,
     TowerValue,
+    bounds_report,
     exhaustive_properness_check,
     identity_algorithm,
     is_proper,
@@ -120,6 +121,9 @@ def test_colex_masks_wider_than_a_lane():
     # A small palette with a large k builds count masks, not k levels of lanes.
     expected = [0, *(_colex_unrank_mask(r, 10**4, 10**4 + 1) for r in range(1, 6))]
     assert _colex_masks(10**4, 5) == expected
+    # The rule has a sequence form exactly where its masks come back packed.
+    assert hasattr(ns_algorithm(2016, 62).rule, "over")
+    assert not hasattr(ns_algorithm(3000, 62).rule, "over")
     rule = ns_algorithm(5, 10**4).rule
     values = (1, 5, 2, 4, 3, 1, 2)
     assert not hasattr(rule, "over")  # masks wider than 8-byte lanes get no form
@@ -145,6 +149,47 @@ def test_ns_rule_same_with_and_without_mask_list(monkeypatch):
     unranked = ns_algorithm(20, 3)
     for window in itertools.permutations(range(1, 21), 2):
         assert listed.rule(window) == unranked.rule(window)
+
+
+def test_ns_masks_are_built_once(monkeypatch):
+    built = []
+    colex_masks = reduce_module._colex_masks
+
+    def counted_masks(k, count):
+        built.append((k, count))
+        return colex_masks(k, count)
+
+    monkeypatch.setattr(reduce_module, "_colex_masks", counted_masks)
+    stage = ns_algorithm(98304, 10)
+    assert built == [(10, 98304)]  # with the rule
+    values = random_proper_instance(98304, 300, seed=10).labels
+    expected = list(map(stage.rule, zip(values, values[1:])))
+    assert list(stage.rule.over(values)) == expected
+    assert built == [(10, 98304)]  # none from rule or form calls
+    # Above 2^20 colours each distinct colour is unranked once, on first sight.
+    unranked = []
+    unrank = reduce_module._colex_unrank_mask
+
+    def counted_unrank(rank, k, m):
+        unranked.append(rank)
+        return unrank(rank, k, m)
+
+    monkeypatch.setattr(reduce_module, "_colex_unrank_mask", counted_unrank)
+    n = reduce_module._MASK_LIST_LIMIT + 1
+    rule = ns_algorithm(n, 12).rule
+    assert unranked == []
+    values = (1, n, 7, 1, n, 7, 2, 1)
+    outputs = list(map(rule, zip(values, values[1:])))
+    assert sorted(unranked) == [1, 2, 7, n]
+    assert list(map(rule, zip(values, values[1:]))) == outputs
+    assert sorted(unranked) == [1, 2, 7, n] and built == [(10, 98304)]
+    # A symbolic palette's rule raises the same error on every call.
+    stage = ns_schedule(TowerValue(6, 1)).stages[0]
+    message = f"cannot evaluate {stage.name} on a symbolic palette of pt:6+1 colours"
+    for window in ((1, 2), (2, 1), (1, 2)):
+        with pytest.raises(ValueError) as raised:
+            stage.rule(window)
+        assert raised.value.args == (message,)
 
 
 def test_ns_rule_values():
@@ -317,6 +362,18 @@ def test_schedule_round_bounds_against_towers():
     assert pipe_plus.rounds <= 6 and pipe_plus.out_palette.size == 3
 
 
+def test_schedule_rounds_within_the_reported_upper_bound():
+    # upperT comes from tower arithmetic, not from the schedule: it is one
+    # round above the schedule at n = 6, 18-20 and 65,538-184,756.
+    above = set()
+    for n in [*range(4, 301), 65537, 65538, 184756, 184757]:
+        rounds, upper = ns_schedule(n).rounds, bounds_report(n).upper_t
+        assert rounds <= upper, n
+        if rounds < upper:
+            above.add(n)
+    assert above == {6, 18, 19, 20, 65538, 184756}
+
+
 def test_schedule_symbolic_tower_six():
     pipe = ns_schedule(TowerValue(6, 1))
     assert pipe.rounds <= 7
@@ -435,10 +492,13 @@ def test_pipeline_describe_format():
 # --- sequence forms ----------------------------------------------------------
 
 # ns palettes with the least k and with a larger one, on one and on several
-# byte planes; cv for k = 3..16.
+# byte planes, and with k > 32 on palettes whose masks still fit 8-byte
+# lanes (2016 colours of k = 62 reach bit 63: all 8 planes); cv for
+# k = 3..16.
 _FORM_CASES = [
     *(("ns", n, k) for n, k in [(5, 2), (6, 2), (6, 4), (20, 3), (20, 5), (32, 4), (70, 4)]),
     *(("ns", n, k) for n, k in [(71, 5), (300, 6), (65537, 10), (98304, 10), (98304, 13)]),
+    *(("ns", n, k) for n, k in [(5, 40), (41, 40), (2016, 62)]),
     *(("cv", 2**k, k) for k in range(3, 17)),
 ]
 
@@ -532,12 +592,13 @@ def test_large_palette_masks_stay_packed():
     # memory, mask build included: about 3.0 MB with packed masks and
     # released operands, against 6.9 MB with a list of masks and
     # full-length copies of the shifted sequences.
+    # The masks are built with the schedule, so the schedule is built in
+    # the traced window.
     instance = random_proper_instance(98304, 10**5, seed=5)
-    algorithm = compose(ns_schedule(98304))
     tracemalloc.start()
     try:
         start = tracemalloc.get_traced_memory()[0]
-        output = run_algorithm(algorithm, instance)
+        output = run_algorithm(compose(ns_schedule(98304)), instance)
         peak = tracemalloc.get_traced_memory()[1] - start
     finally:
         tracemalloc.stop()

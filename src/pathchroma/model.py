@@ -710,7 +710,10 @@ def _smallest_tower_plus_one_ge(n: int | TowerValue) -> int:
 def bounds_report(n: int | TowerValue) -> BoundsReport:
     """Round-complexity bounds for colour reduction from n to 3 colours.
 
-    lowerT is the largest h with tower(h) <= n; upperT is the tower
+    lowerT is the largest h with tower(h) <= n, and at least 3 from n = 5
+    on: ``k_colourable(neighbourhood_graph(5, 1, all_distinct=False), 3)``
+    refutes A(5) = W(5,3), the graph of 2-round one-sided rules, and every
+    larger palette's window graph contains it.  upperT is the tower
     arithmetic's bound (smallest h with n <= tower(h)+1, plus one round),
     except at n = 4 where the two-round reducer is known optimal.  It is a
     valid upper bound but not the rounds of ``reduce.ns_schedule(n)``:
@@ -723,7 +726,7 @@ def bounds_report(n: int | TowerValue) -> BoundsReport:
     if n < 4:
         raise ValueError("bounds are defined for n >= 4")
     s = log_star(n)
-    lower_t = max(2, _largest_tower_le(n))
+    lower_t = max(2 if n == 4 else 3, _largest_tower_le(n))
     if n == 4:
         upper_t = 2
     else:

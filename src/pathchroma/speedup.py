@@ -544,6 +544,7 @@ def random_proper_table(
     # Only the labels and one bit layout live through the restarts: the edge
     # set (1.5 MB for n=8, t=3) outweighs the layout's neighbour masks, so it
     # goes before the layout is built.
+    # Lexicographic, not the nested order: no fewer nodes here, and seeds fix tables.
     graph = UGraph(*window_graph(n, t + 1))
     labels, adjacency = graph.labels, graph.adjacency()
     del graph

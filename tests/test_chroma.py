@@ -91,6 +91,29 @@ def test_colourability_is_monotone_in_k():
             previous = sat
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_verdict_does_not_depend_on_vertex_order(data):
+    # neighbourhood_graph reorders its windows to speed the search up; the
+    # order may change the node count, never the verdict.
+    n = data.draw(st.integers(0, 10))
+    pairs = list(itertools.combinations(range(n), 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=25)) if pairs else []
+    graph = UGraph(tuple(range(n)), frozenset(edges))
+    perm = data.draw(st.permutations(range(n)))
+    permuted = UGraph(
+        tuple(range(n)), frozenset(tuple(sorted((perm[i], perm[j]))) for i, j in edges)
+    )
+    k = data.draw(st.integers(1, 4))
+    verdicts = []
+    for g in (graph, permuted):
+        certificate = k_colourable(g, k)
+        if certificate.satisfiable:
+            assert is_proper_colouring(g, certificate.assignment)
+        verdicts.append(certificate.satisfiable)
+    assert verdicts[0] == verdicts[1] == _brute_force_k_colourable(graph, k)
+
+
 def test_edgeless_and_empty():
     assert chromatic_number(UGraph(tuple(range(5)), frozenset())) == 1
     assert chromatic_number(UGraph((), frozenset())) == 0

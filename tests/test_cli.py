@@ -275,21 +275,21 @@ def test_colour_rejects_short_edge_line(tmp_path, capsys):
 
 
 def test_repro_budget_caps_search_nodes(capsys):
-    code, _, err = run(capsys, "repro-paper", "--only", "lemma5", "--budget", "5770")
+    code, _, err = run(capsys, "repro-paper", "--only", "lemma5", "--budget", "3950")
     assert code == 3
     assert "budget exceeded" in err
-    code, out, _ = run(capsys, "repro-paper", "--only", "lemma5", "--budget", "5771")
+    code, out, _ = run(capsys, "repro-paper", "--only", "lemma5", "--budget", "3951")
     assert code == 0
-    assert out.startswith("PASS lemma5") and "5771 nodes" in out
+    assert out.startswith("PASS lemma5") and "3951 nodes" in out
 
 
 def test_colour_budget_caps_search_nodes(tmp_path, capsys):
     colfile = tmp_path / "n71.col"
     code, _, _ = run(capsys, "graph", "--kind", "neighbourhood", "--n", "7", "--out", str(colfile))
     assert code == 0
-    code, _, err = run(capsys, "colour", "--input", str(colfile), "--k", "3", "--budget", "5770")
+    code, _, err = run(capsys, "colour", "--input", str(colfile), "--k", "3", "--budget", "3950")
     assert code == 3
     assert "budget exceeded" in err
-    code, out, _ = run(capsys, "colour", "--input", str(colfile), "--k", "3", "--budget", "5771")
+    code, out, _ = run(capsys, "colour", "--input", str(colfile), "--k", "3", "--budget", "3951")
     assert code == 0
-    assert out == "UNSAT nodes=5771\n"
+    assert out == "UNSAT nodes=3951\n"

@@ -4,7 +4,7 @@ import itertools
 import pytest
 
 from pathchroma.chroma import is_proper_colouring, k_colourable
-from pathchroma.model import canonical_label
+from pathchroma.model import canonical_label, window_graph
 from pathchroma.graphs import (
     ColourClassPartition,
     UGraph,
@@ -209,7 +209,8 @@ def test_dimacs_rejects_malformed():
 
 def _reference_neighbourhood_graph(n, t, all_distinct):
     # Windows straight from itertools, shift edges found by lookup: an
-    # enumeration independent of proper_sequences.
+    # enumeration independent of proper_sequences, sorted into the nested
+    # order (largest colour, then lexicographic).
     length = 2 * t + 1
     if all_distinct:
         windows = list(itertools.permutations(range(1, n + 1), length))
@@ -219,6 +220,7 @@ def _reference_neighbourhood_graph(n, t, all_distinct):
             for seq in itertools.product(range(1, n + 1), repeat=length)
             if all(a != b for a, b in zip(seq, seq[1:]))
         ]
+    windows.sort(key=lambda w: (max(w), w))
     index = {w: i for i, w in enumerate(windows)}
     edges = set()
     for i, w in enumerate(windows):
@@ -239,6 +241,24 @@ def test_neighbourhood_graph_matches_reference_enumeration(n, t, all_distinct):
 
 
 @pytest.mark.parametrize(
+    "n,t,all_distinct",
+    [
+        (n, t, all_distinct)
+        for all_distinct in (True, False)
+        for t in (1, 2)
+        for n in range(4, 10)
+        if not all_distinct or n - 1 > 2 * t  # both graphs exist
+    ],
+)
+def test_neighbourhood_graph_nests_the_smaller_palette(n, t, all_distinct):
+    small = neighbourhood_graph(n - 1, t, all_distinct=all_distinct)
+    large = neighbourhood_graph(n, t, all_distinct=all_distinct)
+    m = small.vertex_count
+    assert large.labels[:m] == small.labels
+    assert frozenset((i, j) for i, j in large.edges if j < m) == small.edges
+
+
+@pytest.mark.parametrize(
     "n,all_distinct,nodes",
     [
         (7, True, 5771), (8, True, 9894), (9, True, 17554),
@@ -247,15 +267,48 @@ def test_neighbourhood_graph_matches_reference_enumeration(n, t, all_distinct):
     ],
 )
 def test_window_graph_refutation_node_counts(n, all_distinct, nodes):
+    # window_graph's lexicographic order, which neighbourhood_graph permutes
+    certificate = k_colourable(UGraph(*window_graph(n, 3, all_distinct=all_distinct)), 3)
+    assert not certificate.satisfiable
+    assert certificate.nodes == nodes
+
+
+@pytest.mark.parametrize(
+    "n,all_distinct,nodes",
+    [
+        (7, True, 3951), (8, True, 4396), (9, True, 4905),
+        (5, False, 344), (6, False, 500), (7, False, 680),
+        (8, False, 884), (9, False, 1112), (10, False, 1364),
+    ],
+)
+def test_neighbourhood_graph_refutation_node_counts(n, all_distinct, nodes):
     certificate = k_colourable(neighbourhood_graph(n, 1, all_distinct=all_distinct), 3)
     assert not certificate.satisfiable
     assert certificate.nodes == nodes
 
 
 @pytest.mark.parametrize(
+    "n,all_distinct,k",
+    [(n, True, 3) for n in (7, 8, 9)]
+    + [(n, False, 3) for n in range(5, 11)]
+    + [(6, True, 3), (7, True, 4), (8, True, 4)],
+)
+def test_nested_order_keeps_the_lexicographic_verdict(n, all_distinct, k):
+    nested = neighbourhood_graph(n, 1, all_distinct=all_distinct)
+    lexicographic = UGraph(*window_graph(n, 3, all_distinct=all_distinct))
+    verdicts = []
+    for graph in (nested, lexicographic):
+        certificate = k_colourable(graph, k)
+        if certificate.satisfiable:
+            assert is_proper_colouring(graph, certificate.assignment)
+        verdicts.append(certificate.satisfiable)
+    assert verdicts[0] == verdicts[1]
+
+
+@pytest.mark.parametrize(
     "graph_of,k,nodes",
     [
-        (lambda: neighbourhood_graph(6, 1), 3, 147),
+        (lambda: neighbourhood_graph(6, 1), 3, 141),
         (lambda: neighbourhood_graph(7, 1), 4, 207),
         (lambda: neighbourhood_graph(8, 1), 4, 333),
         (worst_case_successor_graph, 16, 39),

@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 
 import pathchroma.model as model
 from pathchroma.errors import BudgetExceeded
+from pathchroma.chroma import k_colourable
+from pathchroma.graphs import neighbourhood_graph
 from pathchroma.model import (
     CYCLE,
     ONE_SIDED,
@@ -392,6 +394,17 @@ def test_bounds_report_examples():
     r = bounds_report(TowerValue(5, 1))
     assert r.lower_c == r.upper_c == 3 == r.log_star // 2
     assert r.exact
+
+
+def test_bounds_report_lower_t_follows_the_a5_refutation():
+    # A(5) = W(5,3) carries every 2-round one-sided rule on 5 colours; it is
+    # not 3-colourable, so 3 rounds are needed from n = 5 on.
+    assert not k_colourable(neighbourhood_graph(5, 1, all_distinct=False), 3).satisfiable
+    expected = {4: (2, 2, 1, 1), 5: (3, 3, 2, 2)}
+    for n in range(4, 17):
+        r = bounds_report(n)
+        assert (r.lower_t, r.upper_t, r.lower_c, r.upper_c) == expected.get(n, (3, 4, 2, 2)), n
+        assert r.exact
 
 
 def test_bounds_report_rejects_small_n():

@@ -154,7 +154,9 @@ def cmd_speedup(args) -> int:
 
 def cmd_graph(args) -> int:
     if args.kind == "neighbourhood":
-        graph = neighbourhood_graph(args.n, args.t, all_distinct=not args.adjacent_only)
+        all_distinct = not args.adjacent_only
+        budget = _resolve_budget(args.budget)
+        graph = neighbourhood_graph(args.n, args.t, all_distinct=all_distinct, budget=budget)
     elif args.kind == "s2star":
         graph = worst_case_successor_graph()
     elif args.kind == "successor":
@@ -206,7 +208,7 @@ def _claim_lemma4(budget: int):
 
 
 def _claim_lemma5(budget: int):
-    graph = neighbourhood_graph(7, 1)
+    graph = neighbourhood_graph(7, 1, budget=budget)
     shape_ok = graph.vertex_count == 210 and graph.edge_count == 1050
     certificate = k_colourable(graph, 3, node_limit=budget)
     ok = shape_ok and not certificate.satisfiable

@@ -21,49 +21,62 @@ from dataclasses import dataclass
 from typing import Hashable, Mapping
 
 from .chroma import UGraph, is_proper_colouring
-from .model import ReductionAlgorithm, canonical_label, window_graph
+from .errors import BudgetExceeded
+from .model import (
+    DEFAULT_BUDGET,
+    ReductionAlgorithm,
+    canonical_label,
+    count_proper_sequences,
+    proper_sequences,
+    window_edges,
+)
 from .speedup import iterate_speed_up
 
 F = frozenset
 
 
-def neighbourhood_graph(n: int, t: int = 1, *, all_distinct: bool = True) -> UGraph:
+def neighbourhood_graph(
+    n: int, t: int = 1, *, all_distinct: bool = True, budget: int | None = None
+) -> UGraph:
     """Graph on colour windows of length 2t+1 whose edges are one-step shifts.
 
     With ``all_distinct`` (the lower-bound construction) the windows carry
     pairwise-distinct colours; otherwise only adjacent entries must differ,
-    which still supports subgraph-based lower bounds.
+    which still supports subgraph-based lower bounds.  Raises
+    :class:`BudgetExceeded` before any window is enumerated when the
+    adjacent-distinct windows of length 2t+1 number more than ``budget``
+    (default ``DEFAULT_BUDGET``).
 
-    The windows come in nested order: by largest colour, then
-    lexicographically.  So the first ``neighbourhood_graph(n - 1, t)``
-    vertices of this graph are exactly that graph, with the same edges.
-    The search breaks its saturation and degree ties by least index, so its
-    ties fall inside the smallest palette, and it meets a small
-    non-colourable core (A(5) = W(5,3), the paper's N(7,1)) before it
-    spreads over the larger palette: refuting N(9,1) with 3 colours takes
-    4,905 nodes where the lexicographic order took 17,554, and A(10) 1,364
-    where it took 14,525.  The order costs where no smaller palette is
-    non-colourable: on W(7,2) with 4 colours it took 24,000 nodes against
-    5,999.  That graph has windows of length 2, which this function never
-    builds.
+    The vertex order is chosen here, the nested order: by largest colour,
+    then lexicographically.  ``window_edges`` builds the one edge set
+    straight in it, from the chosen ranks.  The first
+    ``neighbourhood_graph(n - 1, t)`` vertices of this graph are then
+    exactly that graph, with the same edges.  The search breaks its
+    saturation and degree ties by least index, so its ties fall inside the
+    smallest palette, and it meets a small non-colourable core (A(5) =
+    W(5,3), the paper's N(7,1)) before it spreads over the larger palette:
+    refuting N(9,1) with 3 colours takes 4,905 nodes where the
+    lexicographic order took 17,554, and A(10) 1,364 where it took 14,525.
+    The order costs where no smaller palette is non-colourable: on W(7,2)
+    with 4 colours it took 24,000 nodes against 5,999.  That graph has
+    windows of length 2, which this function never builds.
     """
     if all_distinct and n <= 2 * t:
         raise ValueError(f"need n > 2t = {2 * t} for pairwise-distinct windows")
     if n < 2:
         raise ValueError("need at least 2 colours")
-    windows, edges = window_graph(n, 2 * t + 1, all_distinct=all_distinct)
+    budget = DEFAULT_BUDGET if budget is None else budget
+    length = 2 * t + 1
+    count = count_proper_sequences(n, length)
+    if count > budget:
+        raise BudgetExceeded(f"{count} windows exceed budget {budget}")
+    windows = tuple(proper_sequences(n, length))
+    ranks = range(count)
+    if all_distinct:
+        ranks = itertools.compress(ranks, (len(set(w)) == length for w in windows))
     # sorted is stable, so windows with one largest colour stay lexicographic
-    order = sorted(range(len(windows)), key=lambda i: max(windows[i]))
-    position = [0] * len(order)
-    for p, i in enumerate(order):
-        position[i] = p
-    return UGraph(
-        tuple(windows[i] for i in order),
-        frozenset(
-            (a, b) if a < b else (b, a)
-            for a, b in ((position[i], position[j]) for i, j in edges)
-        ),
-    )
+    ranks = sorted(ranks, key=list(map(max, windows)).__getitem__)
+    return UGraph(tuple(map(windows.__getitem__, ranks)), window_edges(n, length, ranks))
 
 
 def _delta_r(out: Mapping[Hashable, frozenset]) -> dict[frozenset, frozenset[frozenset]]:

@@ -20,7 +20,7 @@ from array import array
 from dataclasses import dataclass
 from math import inf, log2
 from operator import eq
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceeded
 
@@ -493,35 +493,28 @@ def _suffix_ranks(n: int, longest: int) -> dict[int, array]:
     return suffixes
 
 
-def window_graph(n: int, length: int, *, all_distinct: bool = False) -> tuple[tuple, frozenset]:
-    """Windows over [n] of the given length and their one-step shift edges.
+def window_edges(n: int, length: int, ranks: Sequence[int]) -> frozenset:
+    """The one-step shift edges among the windows of the given ranks.
 
-    Windows are the adjacent-distinct sequences in lexicographic order, or
-    only the pairwise-distinct ones.  Edge (i, j), i < j, joins the windows
-    of adjacent nodes (w and w[1:] + (y,)), so proper colourings of this
-    graph are exactly the proper rules on these windows.  The edges come
-    from window ranks: the windows w[1:] + (y,) of a window of rank r are
-    the m = n - 1 ranks from suffix[r] * m, and a rank -> index list drops
-    those that are not pairwise distinct.
+    Vertex i is the window of rank ``ranks[i]`` in ``proper_sequences(n,
+    length)``; the caller picks the windows and their order.  Edge (i, j),
+    i < j, joins the windows of adjacent nodes (w and w[1:] + (y,)), so
+    proper colourings of the graph are exactly the proper rules on these
+    windows.  The windows w[1:] + (y,) of the window of rank r are the
+    m = n - 1 ranks from suffix[r] * m, and a rank -> vertex list drops
+    those not chosen.
     """
-    windows = tuple(proper_sequences(n, length))
     if length < 2:  # every two windows of one colour are a shift apart
-        return windows, frozenset(itertools.combinations(range(len(windows)), 2))
+        return frozenset(itertools.combinations(range(len(ranks)), 2))
     m = n - 1
-    heads = [s * m for s in _suffix_ranks(n, length)[length]]
-    if all_distinct:
-        keep = list(map(eq, map(len, map(set, windows)), itertools.repeat(length)))
-        windows = tuple(itertools.compress(windows, keep))
-        index = [-1] * len(keep)
-        for i, r in enumerate(itertools.compress(range(len(keep)), keep)):
-            index[r] = i
-        heads = list(itertools.compress(heads, keep))
-    else:
-        index = list(range(len(windows)))  # one int object per window, shared by its edges
-    return windows, frozenset(
+    suffix = _suffix_ranks(n, length)[length]
+    vertex = [-1] * len(suffix)  # one int object per vertex, shared by its edges
+    for i, r in enumerate(ranks):
+        vertex[r] = i
+    return frozenset(
         (i, j) if i < j else (j, i)
-        for i, head in enumerate(heads)
-        for j in index[head : head + m]
+        for i, head in enumerate(map(m.__mul__, map(suffix.__getitem__, ranks)))
+        for j in vertex[head : head + m]
         if j >= 0
     )
 

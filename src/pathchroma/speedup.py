@@ -32,7 +32,7 @@ from .model import (
     canonical_label,
     count_proper_sequences,
     proper_sequences,
-    window_graph,
+    window_edges,
 )
 
 Colour = Hashable  # int at level 0, frozenset of previous-level colours above
@@ -544,10 +544,10 @@ def random_proper_table(
     # Only the labels and one bit layout live through the restarts: the edge
     # set (1.5 MB for n=8, t=3) outweighs the layout's neighbour masks, so it
     # goes before the layout is built.
-    # Lexicographic, not the nested order: no fewer nodes here, and seeds fix tables.
-    graph = UGraph(*window_graph(n, t + 1))
-    labels, adjacency = graph.labels, graph.adjacency()
-    del graph
+    # Lexicographic ranks, not the nested order: no fewer nodes here, and a
+    # seed fixes its table only in the vertex order it was drawn in.
+    labels = tuple(proper_sequences(n, t + 1))
+    adjacency = UGraph(labels, window_edges(n, t + 1, range(len(labels)))).adjacency()
     layout = _bit_layout(adjacency)
     del adjacency
 

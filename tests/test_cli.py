@@ -1,6 +1,8 @@
+import tracemalloc
+
 import pytest
 
-from pathchroma.cli import main, parse_algorithm, parse_count
+from pathchroma.cli import build_parser, main, parse_algorithm, parse_count
 from pathchroma.model import TowerValue
 
 
@@ -293,3 +295,43 @@ def test_colour_budget_caps_search_nodes(tmp_path, capsys):
     code, out, _ = run(capsys, "colour", "--input", str(colfile), "--k", "3", "--budget", "3951")
     assert code == 0
     assert out == "UNSAT nodes=3951\n"
+
+
+# Requests over their budget, at least one per command that takes --budget:
+# the tower of 4to3 to level 1 evaluates 4 * 3^2 + 4 * 3 = 48 windows,
+# W(12, 3) holds 12 * 11^2 = 1452 windows and W(300, 5) about 2.4 * 10^12
+# (over the default budget too), N(7,1) needs 3,951 search nodes and
+# lemma 4 examines 3^12 maps.
+_OVER_BUDGET = [
+    "speedup --alg 4to3 --k 1 --budget 47",
+    "graph --kind neighbourhood --n 12 --t 1 --budget 1451",
+    "graph --kind neighbourhood --n 300 --t 2 --budget 1000",
+    "graph --kind successor --alg 4to3 --k 1 --budget 47",
+    "colour --input {n71} --k 3 --budget 10",
+    "repro-paper --budget 10",
+]
+
+
+@pytest.mark.parametrize("command", _OVER_BUDGET)
+def test_every_budget_command_stops_at_its_budget(command, tmp_path, capsys, monkeypatch):
+    # the table must name every command that takes --budget
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    takes_budget = {
+        name
+        for name, sub in subparsers.choices.items()
+        if any("--budget" in action.option_strings for action in sub._actions)
+    }
+    assert {line.split()[0] for line in _OVER_BUDGET} == takes_budget
+    monkeypatch.delenv("PATHCHROMA_BUDGET", raising=False)
+    n71 = tmp_path / "n71.col"
+    assert run(capsys, "graph", "--kind", "neighbourhood", "--n", "7", "--out", str(n71))[0] == 0
+    argv = [arg.format(n71=n71) for arg in command.split()]
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out) == (3, "")
+    assert err.startswith("budget exceeded: ") and "Traceback" not in err
+    assert peak < 1_000_000  # nothing was built at its real size

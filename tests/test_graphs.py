@@ -1,10 +1,12 @@
 import hashlib
 import itertools
+import tracemalloc
 
 import pytest
 
 from pathchroma.chroma import is_proper_colouring, k_colourable
-from pathchroma.model import canonical_label, window_graph
+from pathchroma.errors import BudgetExceeded
+from pathchroma.model import canonical_label
 from pathchroma.graphs import (
     ColourClassPartition,
     UGraph,
@@ -19,6 +21,7 @@ from pathchroma.graphs import (
 )
 from pathchroma.reduce import compose, four_to_three, ns_schedule
 from pathchroma.speedup import iterate_speed_up, random_proper_table
+from window_graphs import lexicographic_window_graph
 
 F = frozenset
 
@@ -258,6 +261,26 @@ def test_neighbourhood_graph_nests_the_smaller_palette(n, t, all_distinct):
     assert frozenset((i, j) for i, j in large.edges if j < m) == small.edges
 
 
+def test_neighbourhood_graph_checks_its_budget_before_enumerating():
+    # W(300, 5) has 300 * 299^4, about 2.4 * 10^12, windows
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match=f"^{300 * 299**4} windows exceed budget 1000$"):
+            neighbourhood_graph(300, 2, budget=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    with pytest.raises(BudgetExceeded, match="exceed budget 100000000$"):
+        neighbourhood_graph(300, 2)  # DEFAULT_BUDGET
+    # N(7,1) enumerates the 7 * 6^2 = 252 adjacent-distinct windows, in either mode
+    for all_distinct, vertices in ((True, 210), (False, 252)):
+        graph = neighbourhood_graph(7, 1, all_distinct=all_distinct, budget=252)
+        assert graph.vertex_count == vertices
+        with pytest.raises(BudgetExceeded, match="^252 windows exceed budget 251$"):
+            neighbourhood_graph(7, 1, all_distinct=all_distinct, budget=251)
+
+
 @pytest.mark.parametrize(
     "n,all_distinct,nodes",
     [
@@ -267,8 +290,8 @@ def test_neighbourhood_graph_nests_the_smaller_palette(n, t, all_distinct):
     ],
 )
 def test_window_graph_refutation_node_counts(n, all_distinct, nodes):
-    # window_graph's lexicographic order, which neighbourhood_graph permutes
-    certificate = k_colourable(UGraph(*window_graph(n, 3, all_distinct=all_distinct)), 3)
+    # the lexicographic vertex order, against the nested one below
+    certificate = k_colourable(lexicographic_window_graph(n, 3, all_distinct), 3)
     assert not certificate.satisfiable
     assert certificate.nodes == nodes
 
@@ -295,7 +318,7 @@ def test_neighbourhood_graph_refutation_node_counts(n, all_distinct, nodes):
 )
 def test_nested_order_keeps_the_lexicographic_verdict(n, all_distinct, k):
     nested = neighbourhood_graph(n, 1, all_distinct=all_distinct)
-    lexicographic = UGraph(*window_graph(n, 3, all_distinct=all_distinct))
+    lexicographic = lexicographic_window_graph(n, 3, all_distinct)
     verdicts = []
     for graph in (nested, lexicographic):
         certificate = k_colourable(graph, k)

@@ -35,7 +35,7 @@ from pathchroma.model import (
     sampled_properness_check,
     tower,
     two_sided_from_one_sided,
-    window_graph,
+    window_edges,
 )
 from pathchroma.reduce import (
     compose,
@@ -258,8 +258,20 @@ def _dict_window_graph(n, length, all_distinct):
 @pytest.mark.parametrize("length", range(1, 5))
 @pytest.mark.parametrize("n", range(2, 10))
 def test_window_graph_matches_the_dict_builder(n, length, all_distinct):
-    got = window_graph(n, length, all_distinct=all_distinct)
-    assert got == _dict_window_graph(n, length, all_distinct)
+    # window_edges over the oracle's windows in three vertex orders:
+    # lexicographic, nested (by largest colour) and a seeded shuffle; the
+    # oracle's edges are relabelled by position
+    windows, edges = _dict_window_graph(n, length, all_distinct)
+    lexicographic = _product_sequences(n, length)
+    assert list(proper_sequences(n, length)) == lexicographic  # ranks are these indices
+    rank = {w: r for r, w in enumerate(lexicographic)}
+    shuffled = list(range(len(windows)))
+    random.Random(100 * n + 10 * length + all_distinct).shuffle(shuffled)
+    nested = sorted(range(len(windows)), key=lambda i: max(windows[i]))
+    for order in (range(len(windows)), nested, shuffled):
+        position = {i: p for p, i in enumerate(order)}
+        relabelled = {tuple(sorted((position[i], position[j]))) for i, j in edges}
+        assert window_edges(n, length, [rank[windows[i]] for i in order]) == relabelled
 
 
 def test_exhaustive_check_passes_identity_rejects_constant():

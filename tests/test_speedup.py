@@ -7,7 +7,6 @@ import pytest
 
 from pathchroma.chroma import _bit_layout, _dsatur, k_colourable
 from pathchroma.errors import BudgetExceeded
-from pathchroma.graphs import UGraph
 from pathchroma.model import (
     ONE_SIDED,
     PATH,
@@ -21,7 +20,6 @@ from pathchroma.model import (
     proper_sequences,
     run_algorithm,
     two_sided_from_one_sided,
-    window_graph,
 )
 from pathchroma.reduce import compose, cv_algorithm, four_to_three, ns_algorithm, ns_schedule
 import pathchroma.speedup as speedup
@@ -36,6 +34,7 @@ from pathchroma.speedup import (
     search_one_round_map,
     speed_up,
 )
+from window_graphs import lexicographic_window_graph
 
 F = frozenset
 
@@ -233,8 +232,7 @@ def test_one_round_brute_force_agrees_with_colouring_search(n, c):
     # Two engines for lemma 4: the literal scan over maps, and the colouring
     # search on the graph of adjacent-distinct 2-windows with shift edges.
     exists, _ = search_one_round_map(n, c)
-    windows, edges = window_graph(n, 2)
-    assert k_colourable(UGraph(windows, edges), c).satisfiable == exists
+    assert k_colourable(lexicographic_window_graph(n, 2), c).satisfiable == exists
     assert exists == ((n, c) == (3, 3))
 
 

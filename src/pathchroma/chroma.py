@@ -7,16 +7,23 @@ and undoes its last choice when a vertex has no colour left.  The kernel
 works on int bitsets, after San Segundo's bitboard search (BBMC, 2011).
 Each vertex has one bit position, in pick order: by degree, then by least
 index.  Those positions and each vertex's neighbours as one int are the
-graph's bit layout, ``_bit_layout``, built once per graph: the sampler's
-restarts and its complete search share one, and the precoloured clique of
-:func:`k_colourable` is read off it.  A few ints hold the state: the
-uncoloured set, one set per colour of the vertices that colour is forbidden
-to, and the saturation as a bit-sliced counter.  A pick masks the uncoloured
-set by the counter's planes from the top down and takes the highest set
-bit.  Colouring v with c adds ``nbr[v] & free & ~forb[c]`` to ``forb[c]``
-and ripples it through the planes as a carry; a frame keeps that one int,
-and undo is an XOR and a borrow ripple.  So the int operations per search
-node depend on k, not on how many neighbours the vertex has.
+graph's bit layout, built once per graph: the sampler's restarts and its
+complete search share one, and the precoloured clique of
+:func:`k_colourable` is read off it.  ``_bit_layout`` builds it from any
+graph's adjacency lists.  The sampler's graph, the window graph W(n, L) in
+lexicographic rank order, is laid out by ``_window_layout`` straight from
+the window ranks, with no edge set or adjacency lists: a window's
+neighbours are one block of ranks that share its suffix and one set that
+its siblings share, and its degree follows from whether it alternates.
+
+A few ints hold the search state: the uncoloured set, one set per colour of
+the vertices that colour is forbidden to, and the saturation as a
+bit-sliced counter.  A pick masks the uncoloured set by the counter's
+planes from the top down and takes the highest set bit.  Colouring v with c
+adds ``nbr[v] & free & ~forb[c]`` to ``forb[c]`` and ripples it through the
+planes as a carry; a frame keeps that one int and v's position, and undo is
+an XOR and a borrow ripple.  So the int operations per search node depend
+on k, not on how many neighbours the vertex has.
 
 Without an RNG it is the complete search of :func:`k_colourable`: ties go
 to the least index and colours are tried in ascending order, up to one
@@ -38,8 +45,8 @@ sampler needs no symmetry breaking, and the cap would change the random
 stream that sampled tables come from.
 
 The graph type, :class:`UGraph`, lives here with the search.  Every layer
-above builds graphs to colour: ``speedup`` its window graphs and successor
-graphs, ``graphs`` N(n,1), S2* and DIMACS text.  Defining the type below
+above builds graphs to colour: ``speedup`` its successor graphs,
+``graphs`` N(n,1), S2* and DIMACS text.  Defining the type below
 them all lets each of those import it without a cycle.
 """
 
@@ -47,10 +54,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+from operator import lshift, or_
 from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple, Sequence
 
 from .errors import BudgetExceeded
-from .model import canonical_label
+from .model import _suffix_ranks, canonical_label, count_proper_sequences
 
 if TYPE_CHECKING:
     import random
@@ -172,6 +181,70 @@ def _bit_layout(adj: list[Sequence[int]]) -> _BitLayout:
     return _BitLayout(order, position, nbr, class_low, max(degrees, default=0))
 
 
+def _window_layout(n: int, length: int) -> _BitLayout:
+    """The layout of W(n, length), the window graph in lexicographic rank order.
+
+    It equals ``_bit_layout`` of the adjacency of the edges
+    ``model.window_edges(n, length, range(count))``, but is worked out from
+    the rank blocks, without an edge set or adjacency lists.  With
+    m = n - 1, the out-neighbours of rank r are the m ranks from
+    suffix[r] * m, one block shared by every window with that suffix; its
+    in-neighbours are the m windows whose suffix rank is r // m, one set
+    shared by r's m siblings.  So all the block masks cost one OR per window,
+    and each window's mask is one OR of its two blocks.  Every window has
+    degree 2m but the n * m alternating ones (a, b, a, ...), whose 2-cycle
+    makes one in-neighbour an out-neighbour too: they form the lower degree
+    class, so the pick order needs no degree count.
+    """
+    count = count_proper_sequences(n, length)
+    if length < 2 or n < 2:  # K_count: every two windows of one colour are a shift apart
+        order = list(range(count - 1, -1, -1))
+        everyone = (1 << count) - 1
+        nbr = [everyone ^ 1 << p for p in range(count)]
+        return _BitLayout(order, order.copy(), nbr, [0] * count, max(count - 1, 0))
+    m = n - 1
+    alternating = []  # their ranks, ascending: the digits of (a, b), then repeated
+    for a in range(n):
+        for d in range(m):
+            digits = (a - (a > d), d)  # the digit of a after b, and of b after a
+            rank = a
+            for i in range(length - 1):
+                rank = rank * m + digits[i % 2 == 0]
+            alternating.append(rank)
+    # Pick order, as _bit_layout sorts it: the alternating windows, then the
+    # others, each by descending rank.  So the j-th alternating rank from the
+    # bottom sits at lows - 1 - j, and any other rank r with j alternating
+    # ranks below it at count - 1 - r + j.
+    lows = len(alternating)
+    position = []
+    for j, (low, high) in enumerate(zip([-1, *alternating], [*alternating, count])):
+        position += range(count - 2 - low + j, count - 1 - high + j, -1)
+        position.append(lows - 1 - j)
+    del position[-1]  # the one for the end, count, which is no rank
+    order = sorted(range(count), key=position.__getitem__)
+
+    bits = list(map(lshift, repeat(1), position))  # by rank
+    out = bits[::m]  # out[s]: the ranks s * m .. s * m + m - 1, the windows with prefix s
+    for d in range(1, m):
+        out = list(map(or_, out, bits[d::m]))
+    # into[q]: the windows whose suffix has rank q.  Those of first colour z
+    # list, in rank order, the suffixes of every other first colour, so they
+    # fill into[:cut] and into[cut + per:] in one pass each.
+    block = count // n  # windows per first colour
+    per = block // m  # suffixes per first colour
+    into = [0] * (count // m)
+    for z in range(n):
+        cut, first = z * per, z * block
+        into[:cut] = map(or_, into[:cut], bits[first : first + cut])
+        into[cut + per :] = map(or_, into[cut + per :], bits[first + cut : first + block])
+    suffix = _suffix_ranks(n, length)[length]
+    siblings = chain.from_iterable(map(repeat, into, repeat(m)))  # into[r // m], by rank
+    nbr = list(map(or_, map(out.__getitem__, suffix), siblings))
+    class_low = [0] * lows + [lows] * (count - lows)
+    max_degree = 2 * m - (lows == count)
+    return _BitLayout(order, position, list(map(nbr.__getitem__, order)), class_low, max_degree)
+
+
 def _clique(layout: _BitLayout) -> list[int]:
     """A greedy clique: vertices by degree, then index, each joined to all before it.
 
@@ -188,31 +261,35 @@ def _clique(layout: _BitLayout) -> list[int]:
     return clique
 
 
-def _nth_highest_bit(bits: int, i: int) -> int:
+def _nth_highest_bit(bits: int, i: int, count: int) -> int:
     """Position of the set bit of ``bits`` that has ``i`` set bits above it.
 
-    Within 12 set bits of either end it strips the set bits from that end,
-    one int operation each; the sampler's calls mostly land there.  Else it
-    binary-searches the count of set bits above a position, which costs
-    about as much as 12 strips on the sampler's window graphs.
+    ``count`` is ``bits.bit_count()``, which the caller has.  Within 12 set
+    bits of either end it strips the set bits from that end, one int
+    operation each; the sampler's calls mostly land there.  Else it halves
+    the int, keeps the half that holds the wanted bit and tries again, so
+    each step works on half the int the step before it did.
     """
-    below = bits.bit_count() - 1 - i
-    if i <= min(below, 12):
-        for _ in range(i):
-            bits ^= 1 << bits.bit_length() - 1
-        return bits.bit_length() - 1
-    if below <= 12:
-        for _ in range(below):
-            bits &= bits - 1
-        return (bits & -bits).bit_length() - 1
-    low, high = 0, bits.bit_length()  # bits >> low has more than i set bits, bits >> high not
-    while high - low > 1:
-        mid = (low + high) >> 1
-        if (bits >> mid).bit_count() > i:
-            low = mid
+    shift = 0
+    while True:
+        below = count - 1 - i
+        if i <= min(below, 12):
+            for _ in range(i):
+                bits ^= 1 << bits.bit_length() - 1
+            return shift + bits.bit_length() - 1
+        if below <= 12:
+            for _ in range(below):
+                bits &= bits - 1
+            return shift + (bits & -bits).bit_length() - 1
+        half = bits.bit_length() >> 1
+        upper = bits >> half
+        above = upper.bit_count()
+        if above > i:
+            bits, count, shift = upper, above, shift + half
         else:
-            high = mid
-    return low
+            bits ^= upper << half
+            count -= above
+            i -= above
 
 
 def _dsatur(
@@ -289,7 +366,7 @@ def _dsatur(
             while r >= m:
                 r = getrandbits(width)
             if r:  # else the pick is p, the highest
-                p = low + _nth_highest_bit(ties, r)
+                p = low + _nth_highest_bit(ties, r, m)
             bit = 1 << p
             rest = [c for c in palette if not forb[c] & bit]
             for i in range(len(rest) - 1, 0, -1):  # rng.shuffle(rest):
@@ -323,7 +400,7 @@ def _dsatur(
                     planes[j] = plane ^ carry
                     carry &= plane
                     j -= 1
-                frames.append((p, bit, rest, c, add, max_used))
+                frames.append((p, rest, c, add, max_used))
                 if c > max_used:
                     max_used = c
                 break
@@ -331,7 +408,8 @@ def _dsatur(
             backtracks += 1
             if backtracks > max_backtracks or not frames:
                 return None, nodes
-            p, bit, rest, c, add, max_used = frames.pop()
+            p, rest, c, add, max_used = frames.pop()
+            bit = 1 << p
             forb[c] ^= add
             borrow = add
             j = -1
@@ -343,7 +421,7 @@ def _dsatur(
     colour = [0] * n
     for v, c in precolouring.items():
         colour[v] = c
-    for p, _, _, c, _, _ in frames:
+    for p, _, c, _, _ in frames:
         colour[order[p]] = c
     return colour, nodes
 

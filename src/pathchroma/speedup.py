@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import floordiv, or_
 from typing import Callable, Hashable, Iterator, Sequence
 
-from .chroma import UGraph, _bit_layout, _dsatur
+from .chroma import UGraph, _dsatur, _window_layout
 from .errors import BudgetExceeded
 from .model import (
     DEFAULT_BUDGET,
@@ -32,7 +32,6 @@ from .model import (
     canonical_label,
     count_proper_sequences,
     proper_sequences,
-    window_edges,
 )
 
 Colour = Hashable  # int at level 0, frozenset of previous-level colours above
@@ -541,15 +540,13 @@ def random_proper_table(
     - every restart fails without that proof: RuntimeError "... not found",
       saying whether the complete search decided feasibility.
     """
-    # Only the labels and one bit layout live through the restarts: the edge
-    # set (1.5 MB for n=8, t=3) outweighs the layout's neighbour masks, so it
-    # goes before the layout is built.
+    # Only the labels and one bit layout live through the restarts, and the
+    # layout is read off the rank blocks: no edge set (1.5 MB for n=8, t=3)
+    # or adjacency lists are built.
     # Lexicographic ranks, not the nested order: no fewer nodes here, and a
     # seed fixes its table only in the vertex order it was drawn in.
     labels = tuple(proper_sequences(n, t + 1))
-    adjacency = UGraph(labels, window_edges(n, t + 1, range(len(labels)))).adjacency()
-    layout = _bit_layout(adjacency)
-    del adjacency
+    layout = _window_layout(n, t + 1)
 
     rng = random.Random(seed)
     feasibility = "feasibility not decided"

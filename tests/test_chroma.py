@@ -13,12 +13,15 @@ from pathchroma.chroma import (
     _dsatur,
     _k_colourable,
     _nth_highest_bit,
+    _window_layout,
     chromatic_number,
     export_cnf,
     is_proper_colouring,
     k_colourable,
 )
 from pathchroma.graphs import UGraph, neighbourhood_graph, worst_case_successor_graph
+from pathchroma.model import count_proper_sequences
+from window_graphs import lexicographic_window_graph
 
 
 def triangle():
@@ -149,6 +152,22 @@ def test_chromatic_number_lays_the_graph_out_once(monkeypatch):
     monkeypatch.setattr(chroma, "_bit_layout", counted)
     assert chromatic_number(g) == 4
     assert len(calls) == 1
+
+
+# Up to about 20k windows: length 1 is K_n, n = 1 has no longer windows, and
+# every window is alternating at n = 2 or length 2.
+_WINDOW_SHAPES = [
+    (n, length)
+    for n in range(1, 10)
+    for length in range(1, 6)
+    if count_proper_sequences(n, length) <= 20_000
+]
+
+
+@pytest.mark.parametrize("n,length", _WINDOW_SHAPES)
+def test_window_layout_equals_the_adjacency_layout(n, length):
+    adjacency = lexicographic_window_graph(n, length).adjacency()
+    assert _window_layout(n, length) == _bit_layout(adjacency)  # field for field
 
 
 def test_worst_case_graph_sixteen_colourable():
@@ -468,4 +487,4 @@ def test_nth_highest_bit_matches_the_binary_search():
         count = bits.bit_count()
         for i in {0, 11, 12, 13, count // 2, count - 14, count - 13, count - 12, count - 1}:
             if 0 <= i < count:
-                assert _nth_highest_bit(bits, i) == _nth_highest_bit_by_search(bits, i)
+                assert _nth_highest_bit(bits, i, count) == _nth_highest_bit_by_search(bits, i)

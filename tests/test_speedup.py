@@ -5,7 +5,9 @@ import itertools
 
 import pytest
 
-from pathchroma.chroma import _bit_layout, _dsatur, k_colourable
+import pathchroma.chroma as chroma
+import pathchroma.model as model
+from pathchroma.chroma import _dsatur, _window_layout, k_colourable
 from pathchroma.errors import BudgetExceeded
 from pathchroma.model import (
     ONE_SIDED,
@@ -275,16 +277,27 @@ def test_random_proper_table_lays_out_its_window_graph_once(monkeypatch):
     # (7, 2, 4) with seed 10 takes six restarts, and a complete search after the first.
     layouts, searched = [], []
 
-    def bit_layout(adj):
-        layouts.append(_bit_layout(adj))
+    def window_layout(n, length):
+        layouts.append(_window_layout(n, length))
         return layouts[-1]
 
     def dsatur(layout, *args, **kwargs):
         searched.append(layout)
         return _dsatur(layout, *args, **kwargs)
 
-    monkeypatch.setattr(speedup, "_bit_layout", bit_layout)
+    def unused(*args, **kwargs):
+        raise AssertionError("the sampler builds no edge set, graph or adjacency layout")
+
+    monkeypatch.setattr(speedup, "_window_layout", window_layout)
     monkeypatch.setattr(speedup, "_dsatur", dsatur)
+    for module, name in (
+        (speedup, "window_edges"),
+        (speedup, "UGraph"),
+        (speedup, "_bit_layout"),
+        (model, "window_edges"),
+        (chroma, "_bit_layout"),
+    ):
+        monkeypatch.setattr(module, name, unused, raising=False)
     random_proper_table(7, 2, 4, 10)
     assert len(layouts) == 1
     assert len(searched) == 7 and all(layout is layouts[0] for layout in searched)

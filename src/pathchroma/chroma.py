@@ -237,7 +237,7 @@ def _window_layout(n: int, length: int) -> _BitLayout:
         cut, first = z * per, z * block
         into[:cut] = map(or_, into[:cut], bits[first : first + cut])
         into[cut + per :] = map(or_, into[cut + per :], bits[first + cut : first + block])
-    suffix = _suffix_ranks(n, length)[length]
+    suffix = _suffix_ranks(n, length)
     siblings = chain.from_iterable(map(repeat, into, repeat(m)))  # into[r // m], by rank
     nbr = list(map(or_, map(out.__getitem__, suffix), siblings))
     class_low = [0] * lows + [lows] * (count - lows)

@@ -201,15 +201,21 @@ def _checked_instance(topology: str, labels: tuple[int, ...]) -> PathInstance:
     return instance
 
 
-def _adjacent_distinct(seq: bytes) -> bool:
-    """True iff no two neighbours in ``seq`` are equal.
+def _columns_distinct(columns: Sequence[bytes]) -> bool:
+    """True iff no two neighbouring columns hold an equal byte at any index.
 
-    In C: a zero byte in the XOR of ``seq`` and ``seq`` shifted by one
-    marks equal neighbours.
+    In C: a zero byte in the XOR of two columns marks an equal pair.
     """
-    m = len(seq) - 1
-    pairs = int.from_bytes(seq[:m], "big") ^ int.from_bytes(seq[1:], "big")
-    return 0 not in pairs.to_bytes(m, "big")
+    for a, b in zip(columns, columns[1:]):
+        pairs = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+        if 0 in pairs.to_bytes(len(a), "big"):
+            return False
+    return True
+
+
+def _adjacent_distinct(seq: bytes) -> bool:
+    """True iff no two neighbours in ``seq`` are equal."""
+    return _columns_distinct((seq[:-1], seq[1:]))
 
 
 def is_proper(instance: PathInstance) -> bool:
@@ -285,9 +291,10 @@ class _WindowTable(dict):
     """Window -> output table of one rule, filled as windows first appear.
 
     The package's only lazily filled table.  ``run_algorithm``, ``speed_up``
-    and the speed-up tower's stage-wise level 0 key it by window; the ns
-    rule of more than 2^20 colours keys it by colour, to the colour's
-    subset mask.  A raising rule adds no entry.
+    and the speed-up tower's stage-wise level 0, for stages too large for
+    ``_byte_stage``, key it by window; the ns rule of more than 2^20 colours
+    keys it by colour, to the colour's subset mask.  A raising rule adds no
+    entry.
     """
 
     __slots__ = ("rule",)
@@ -301,18 +308,21 @@ class _WindowTable(dict):
         return value
 
 
-def _check_stage_input(seq, stage: ReductionAlgorithm) -> None:
+def _check_stage_input(seq, stage: ReductionAlgorithm, columns: Sequence[bytes] = ()) -> None:
     """Raise a ValueError naming ``stage`` unless ``seq`` is a proper colouring for it.
 
-    ``run_algorithm`` checks each later stage's input sequence, and the
-    speed-up tower's level 0 each distinct input window.  Bytes are checked
-    in C: one ``translate`` deletes the colours 1..n, and
-    ``_adjacent_distinct`` finds equal neighbours.
+    ``run_algorithm`` checks each later stage's input sequence.  The
+    speed-up tower's level 0 checks each distinct input window of a table
+    stage, and for a byte stage the previous stage's outputs, ``seq``, for
+    the palette and the stage's window ``columns`` for equal neighbours.
+    Bytes are checked in C: one ``translate`` deletes the colours 1..n, and
+    a zero byte in the XOR of two neighbouring columns (by default ``seq``
+    and ``seq`` shifted by one) marks equal neighbours.
     """
     n = stage.in_palette.size
     if isinstance(seq, bytes):
         in_range = not seq.translate(None, bytes(range(1, min(n, 255) + 1)))
-        proper = in_range and _adjacent_distinct(seq)
+        proper = in_range and _columns_distinct(columns or (seq[:-1], seq[1:]))
     else:
         proper = (
             all(map(isinstance, seq, itertools.repeat(int)))
@@ -327,23 +337,36 @@ def _check_stage_input(seq, stage: ReductionAlgorithm) -> None:
         )
 
 
-def _byte_stage(seq, stage: ReductionAlgorithm) -> bytes:
-    """One table stage over a whole sequence, in C, for n < 256 and n**wl <= 256.
+def _byte_sized(stage: ReductionAlgorithm) -> bool:
+    """True iff the stage's colours, outputs and window codes each fit a byte."""
+    n = stage.in_palette.size
+    return (
+        isinstance(n, int)
+        and n < 256
+        and n**stage.window_length <= 256
+        and stage.out_palette.size <= 255
+    )
 
-    ``seq`` is a proper colouring in 1..n, so window w has the mixed-radix
-    code sum((w[i] - 1) * n**(wl - 1 - i)), below 256, and one byte holds
-    it.  The codes of all windows come from big-integer arithmetic on the
-    shifted sequences: the exact result has code j in byte j, whatever
-    carries the steps make on the way.  A 256-byte table filled once over
+
+def _byte_stage(columns: Sequence[bytes], stage: ReductionAlgorithm) -> bytes:
+    """One byte-sized stage (see ``_byte_sized``) over the columns of its windows, in C.
+
+    Column i holds entry i of every window, and the windows are proper
+    colourings in 1..n, so window w has the mixed-radix code
+    sum((w[i] - 1) * n**(wl - 1 - i)), below 256, and one byte holds it.
+    The codes of all windows come from big-integer arithmetic on the
+    columns: the exact result has code j in byte j, whatever carries the
+    steps make on the way.  A 256-byte table filled once over
     ``proper_sequences`` then turns the codes into outputs with one
     ``bytes.translate``.  The rule is called on every valid window, present
-    in ``seq`` or not, as ``exhaustive_properness_check`` calls it, and each
-    of its values must fit a byte, or a ValueError names the stage and window.
+    in the columns or not, as ``exhaustive_properness_check`` calls it, and
+    each of its values must fit a byte, or a ValueError names the stage and
+    window.  ``run_algorithm`` takes the columns as shifted slices of its
+    sequence, the speed-up tower's level 0 from rank blocks.
     """
-    rule, n, wl = stage.rule, stage.in_palette.size, stage.window_length
-    seq = bytes(seq)
+    rule, n = stage.rule, stage.in_palette.size
     table = bytearray(256)
-    for window in proper_sequences(n, wl):
+    for window in proper_sequences(n, stage.window_length):
         code = 0
         for x in window:
             code = code * n + x - 1
@@ -354,11 +377,11 @@ def _byte_stage(seq, stage: ReductionAlgorithm) -> bytes:
             raise ValueError(
                 f"stage {stage.name} gives {value!r} on window {window}, not a byte"
             ) from None
-    m = len(seq) - wl + 1
+    m = len(columns[0])
     ones = int.from_bytes(b"\x01" * m, "big")
-    codes = int.from_bytes(seq[:m], "big") - ones
-    for i in range(1, wl):
-        codes = codes * n + int.from_bytes(seq[i : i + m], "big") - ones
+    codes = 0
+    for column in columns:
+        codes = codes * n + int.from_bytes(column, "big") - ones
     return codes.to_bytes(m, "big").translate(table)
 
 
@@ -409,8 +432,9 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
             seq = rule.over(seq)
             continue
         if isinstance(n, int) and count_proper_sequences(n, wl) <= length:
-            if n < 256 and n**wl <= 256 and stage.out_palette.size <= 255:
-                seq = _byte_stage(seq, stage)
+            if _byte_sized(stage):
+                seq, m = bytes(seq), len(seq) - wl + 1
+                seq = _byte_stage([seq[j : m + j] for j in range(wl)], stage)
                 continue
             rule = _WindowTable(rule).__getitem__
         seq = list(map(rule, zip(*(seq[j:] for j in range(wl)))))
@@ -474,23 +498,21 @@ def count_proper_sequences(n: int, length: int) -> int:
 # and the m windows sharing a prefix are consecutive.
 
 
-def _suffix_ranks(n: int, longest: int) -> dict[int, array]:
-    """For each length L in 2..longest, the rank of w[1:] for every window w of length L.
+def _suffix_ranks(n: int, length: int) -> array:
+    """The rank of w[1:] for every window w of the given length, at least 2.
 
-    Arrays are indexed by the rank of w.  Length 2 is read off the digits;
-    each longer length extends the one before it, as
-    suffix_L[r] = suffix_{L-1}[r // m] * m + r % m.
+    The array is indexed by the rank of w.  The windows of first colour a
+    are block a of the ranks, and their suffixes are, in rank order, the
+    shorter windows of every other first colour: all shorter ranks outside
+    block a.  So each length is 2n ranges of one array, whatever its size.
     """
-    m = n - 1
-    code = "i" if count_proper_sequences(n, longest) < 1 << 31 else "q"
-    suffixes = {}
-    if longest >= 2:
-        suffix = array(code, (d + (d >= a) for a in range(n) for d in range(m)))
-        suffixes[2] = suffix
-        for length in range(3, longest + 1):
-            blocks = (range(s * m, s * m + m) for s in suffix)
-            suffix = suffixes[length] = array(code, itertools.chain.from_iterable(blocks))
-    return suffixes
+    block = (n - 1) ** (length - 2)  # shorter windows of one first colour
+    shorter = array("i" if count_proper_sequences(n, length) < 1 << 31 else "q", range(n * block))
+    suffix = shorter[:0]
+    for a in range(n):
+        suffix += shorter[: a * block]
+        suffix += shorter[(a + 1) * block :]
+    return suffix
 
 
 def window_edges(n: int, length: int, ranks: Sequence[int]) -> frozenset:
@@ -507,7 +529,7 @@ def window_edges(n: int, length: int, ranks: Sequence[int]) -> frozenset:
     if length < 2:  # every two windows of one colour are a shift apart
         return frozenset(itertools.combinations(range(len(ranks)), 2))
     m = n - 1
-    suffix = _suffix_ranks(n, length)[length]
+    suffix = _suffix_ranks(n, length)
     vertex = [-1] * len(suffix)  # one int object per vertex, shared by its edges
     for i, r in enumerate(ranks):
         vertex[r] = i

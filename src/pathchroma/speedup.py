@@ -27,6 +27,8 @@ from .model import (
     ReductionAlgorithm,
     ColourWindow,
     _WindowTable,
+    _byte_sized,
+    _byte_stage,
     _check_stage_input,
     _suffix_ranks,
     canonical_label,
@@ -165,42 +167,91 @@ class _RankTable(Mapping):
         return len(self.values)
 
 
-def _level_zero(alg: ReductionAlgorithm, n: int, suffixes: Mapping[int, Sequence[int]]) -> list:
+def _sub_window_columns(values: bytes, n: int, length: int, t: int) -> list[bytes]:
+    """Column i holds ``values`` on w[i : i + length] for every window w t longer, by rank.
+
+    ``values`` holds one byte per window of ``length`` over [n], by rank.
+    With m = n - 1, dropping the last colour maps rank r to r // m, so it
+    repeats each value m times: m strided slice assignments.  The windows
+    of first colour a are block a of the ranks, and their suffixes are the
+    shorter windows outside block a, so dropping the first colour joins, for
+    each a, the blocks but a's.
+    """
+    m = n - 1
+    columns = []
+    for i in range(t + 1):
+        column = values
+        for _ in range(t - i):  # drop a colour behind
+            longer = bytearray(len(column) * m)
+            for j in range(m):
+                longer[j::m] = column
+            column = longer
+        for shorter in range(length + t - i, length + t):  # drop a colour in front
+            block = m ** (shorter - 1)  # windows of that length per first colour
+            view = memoryview(column)
+            blocks = ((view[: a * block], view[(a + 1) * block :]) for a in range(n))
+            column = b"".join(itertools.chain.from_iterable(blocks))
+        columns.append(column)
+    return columns
+
+
+def _level_zero(
+    alg: ReductionAlgorithm, n: int, suffixes: Mapping[int, Sequence[int]]
+) -> Sequence[int]:
     """``alg``'s output on every window of its length over [n], in rank order.
 
     A staged (composed) source is evaluated stage by stage: the first stage
     on its own windows, and each later stage, of t rounds, on the windows t
-    longer, reading the previous stage's outputs at the t + 1 sub-windows
-    through a window table.  The sub-window at offset i of a window of rank
-    r drops i colours in front (i suffix steps) and t - i behind (division
-    by m^(t-i)).  Overlapping windows thus share every stage output instead
+    longer, reading the previous stage's outputs at the t + 1 sub-windows.
+    The sub-window at offset i of a window drops i colours in front and
+    t - i behind.  Overlapping windows thus share every stage output instead
     of recomputing it, as one call of the composed rule per window would.
+
+    A later stage takes one of the simulator's two table paths.  A
+    byte-sized stage (``model._byte_sized``) runs as byte passes: its
+    sub-window columns come from rank blocks (``_sub_window_columns``) and
+    its outputs from ``model._byte_stage``, the simulator's byte kernel,
+    which calls the rule on every valid window, as in the simulator.  Any
+    other stage reads the sub-windows through a window table: the window of
+    rank r at offset i has i suffix steps and a division by m^(t-i).
+
     A later stage's rule sees only input that passed the simulator's stage
-    input check: each distinct window of outputs from the stage before it
-    is checked as the window table first sees it, and a ValueError names
-    the stage, as ``run_algorithm`` does.
+    input check, ``model._check_stage_input``, and a ValueError names the
+    stage, as ``run_algorithm`` does: a byte stage checks the previous
+    stage's outputs for its palette and its columns for equal neighbours;
+    a table stage checks each distinct window as the table first sees it.
     """
     first, *rest = alg.stages or (alg,)
     length = first.window_length
     values = list(map(first.rule, proper_sequences(n, length)))
     m = n - 1
     for stage in rest:
-
-        def checked(window: ColourWindow, stage: ReductionAlgorithm = stage) -> int:
-            _check_stage_input(window, stage)
-            return stage.rule(window)
-
         t = stage.rounds
+        if _byte_sized(stage):
+            try:
+                values = bytes(values)
+            except (TypeError, ValueError):  # a value that is no byte is no colour
+                _check_stage_input(values, stage)  # so this raises
+            columns = _sub_window_columns(values, n, length, t)
+            _check_stage_input(values, stage, columns)
+            values = _byte_stage(columns, stage)
+        else:
+
+            def checked(window: ColourWindow, stage: ReductionAlgorithm = stage) -> int:
+                _check_stage_input(window, stage)
+                return stage.rule(window)
+
+            longer = length + t
+            columns = []
+            for i in range(t + 1):
+                ranks = range(count_proper_sequences(n, longer))
+                for j in range(i):
+                    ranks = map(suffixes[longer - j].__getitem__, ranks)
+                if i < t:
+                    ranks = map(floordiv, ranks, itertools.repeat(m ** (t - i)))
+                columns.append(map(values.__getitem__, ranks))
+            values = list(map(_WindowTable(checked).__getitem__, zip(*columns)))
         length += t
-        columns = []
-        for i in range(t + 1):
-            ranks = range(count_proper_sequences(n, length))
-            for j in range(i):
-                ranks = map(suffixes[length - j].__getitem__, ranks)
-            if i < t:
-                ranks = map(floordiv, ranks, itertools.repeat(m ** (t - i)))
-            columns.append(map(values.__getitem__, ranks))
-        values = list(map(_WindowTable(checked).__getitem__, zip(*columns)))
     return values
 
 
@@ -370,12 +421,15 @@ def iterate_speed_up(
 
     Every level's table stores its outputs by window rank.  Level 0 holds
     ``alg``'s output on every window; a composed source fills it stage by
-    stage, each later stage behind the simulator's stage input check (see
-    ``_level_zero``), and is never called per window.  Each higher level is
-    built from the table below it, so the source rule is never evaluated
-    again.  The budget counts one evaluation per window of every level,
-    whatever the stage-wise build saves, and is checked for the whole tower
-    before any window is evaluated.
+    stage, each later stage behind the simulator's stage input check, and
+    is never called per window (see ``_level_zero``).  A later stage whose
+    colours, outputs and window codes fit a byte runs as byte passes over
+    rank blocks, and its rule is called on every valid window, as in the
+    simulator; any other later stage's rule, once per distinct window.
+    Each higher level is built from the table below it, so the source rule
+    is never evaluated again.  The budget counts one evaluation per window
+    of every level, whatever the stage-wise build saves, and is checked for
+    the whole tower before any window is evaluated.
     """
     if k < 0 or k > alg.rounds:
         raise ValueError("can iterate between 0 and rounds(alg) times")
@@ -387,7 +441,7 @@ def iterate_speed_up(
     cost = sum(count_proper_sequences(n, wl - i) for i in range(k + 1))
     if cost > budget:
         raise BudgetExceeded(f"{cost} window evaluations exceed budget {budget}")
-    suffixes = _suffix_ranks(n, wl)
+    suffixes = {length: _suffix_ranks(n, length) for length in range(2, wl + 1)}
     table = _RankTable(n, wl, _level_zero(alg, n, suffixes), suffixes.get(wl))
     levels = [SpeedUpLevel(alg, {r: r for r in set(table.values)}, table)]
     for _ in range(k):

@@ -20,6 +20,7 @@ from pathchroma.model import (
     ReductionAlgorithm,
     TowerValue,
     _random_walk,
+    _suffix_ranks,
     bounds_report,
     count_proper_sequences,
     exhaustive_properness_check,
@@ -237,6 +238,15 @@ def test_proper_sequences_of_any_length():
     assert list(proper_sequences(1, 5000)) == []
     with pytest.raises(ValueError, match="non-negative"):
         proper_sequences(3, -1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_suffix_ranks_match_the_enumeration(n):
+    # n = 2 has one window per first colour and length (m = 1); n = 1 has none of length 2
+    for length in range(2, 6):
+        rank = {w: r for r, w in enumerate(_product_sequences(n, length - 1))}
+        expected = [rank[w[1:]] for w in _product_sequences(n, length)]
+        assert list(_suffix_ranks(n, length)) == expected
 
 
 def _dict_window_graph(n, length, all_distinct):

@@ -448,8 +448,8 @@ def test_iterate_budget_checked_before_any_evaluation():
 @pytest.mark.parametrize("n,length", [(2, 1), (2, 5), (3, 1), (3, 4), (4, 3), (5, 2), (7, 4)])
 def test_rank_table_round_trip(n, length):
     windows = list(proper_sequences(n, length))
-    suffixes = _suffix_ranks(n, length)
-    table = _RankTable(n, length, [10 * r for r in range(len(windows))], suffixes.get(length))
+    suffix = _suffix_ranks(n, length) if length > 1 else None
+    table = _RankTable(n, length, [10 * r for r in range(len(windows))], suffix)
     assert list(table) == windows and len(table) == len(windows)
     shorter = {w: r for r, w in enumerate(proper_sequences(n, length - 1))}
     for r, w in enumerate(windows):
@@ -475,6 +475,8 @@ _LEVEL_ZERO_SOURCES = [
     compose((cv_algorithm(3), *ns_schedule(6).stages)),
     compose((compose(ns_schedule(7).stages[:2]), compose(ns_schedule(7).stages[2:]))),
     compose((identity_algorithm(4), four_to_three(), identity_algorithm(3))),
+    # a byte stage, a window-table stage (17^2 codes exceed a byte) and a byte stage again
+    compose((identity_algorithm(17), identity_algorithm(17), *ns_schedule(17).stages[:2])),
     four_to_three(),
     identity_algorithm(5),
     *(random_proper_table(n, t, c, seed=seed) for n, t, c, seed in [(4, 2, 3, 0), (5, 3, 4, 7)]),
@@ -491,20 +493,27 @@ def test_stage_wise_level_zero_matches_the_rule(alg):
     assert [table[w] for w in windows] == [alg.rule(w) for w in windows]
 
 
-@pytest.mark.parametrize("bad", [-1, 0, 21, "5"])
+@pytest.mark.parametrize(
+    "bad", [-1, 0, 21, "5", 5, 300], ids=["-1", "0", "21", "5", "int-5", "300"]
+)
 def test_level_zero_checks_each_later_stage_input(bad):
-    # The first stage leaves ns's palette at colour 5, or merges colours 1
-    # and 2 so that 4to3 sees equal neighbours; run_algorithm stops such a
+    # The lying first stage turns colour 3 into ``bad``, which leaves the
+    # next stage's palette or, for ns and bad = 5, merges colours 3 and 5;
+    # the merging one merges colours 1 and 2.  run_algorithm stops such a
     # pipeline, and the tower's stage-wise level 0 stops it with the same
-    # message.  A 3-node path keeps the simulator off its byte path.
-    lying = ReductionAlgorithm(
-        ONE_SIDED, 0, Palette(20), Palette(20), lambda w: bad if w[0] == 5 else w[0], name="lying"
-    )
+    # message, through ns's window table on 20 colours and through 4to3's
+    # byte passes.  A 3-node path keeps the simulator off its byte path.
+    def lying(n):
+        return ReductionAlgorithm(
+            ONE_SIDED, 0, Palette(n), Palette(n), lambda w: bad if w[0] == 3 else w[0], name="lying"
+        )
+
     merging = ReductionAlgorithm(
         ONE_SIDED, 0, Palette(4), Palette(4), lambda w: max(w[0], 2), name="merging"
     )
     pipelines = [
-        (compose([lying, ns_algorithm(20, 3)]), (5, 1, 2), "ns k=3", 20),
+        (compose([lying(20), ns_algorithm(20, 3)]), (3, 5, 1), "ns k=3", 20),
+        (compose([lying(4), four_to_three()]), (3, 4, 1), "4to3", 4),
         (compose([merging, four_to_three()]), (1, 2, 3), "4to3", 4),
     ]
     for alg, labels, name, n in pipelines:
@@ -519,6 +528,21 @@ def test_level_zero_checks_each_later_stage_input(bad):
     assert [list(level.table.values) for level in tables[0]] == [
         list(level.table.values) for level in tables[1]
     ]
+
+
+def test_byte_sized_level_zero_never_builds_a_window_table(monkeypatch):
+    tables = []
+
+    def spy(rule):
+        tables.append(rule)
+        return model._WindowTable(rule)
+
+    monkeypatch.setattr(speedup, "_WindowTable", spy)
+    iterate_speed_up(compose(ns_schedule(8)), 0)
+    assert tables == []
+    # 20 colours give 400 window codes, more than a byte holds
+    iterate_speed_up(compose([identity_algorithm(20), ns_algorithm(20, 3)]), 0)
+    assert len(tables) == 1
 
 
 def test_iterate_flags_improper_source_like_speed_up():

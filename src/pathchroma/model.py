@@ -193,11 +193,22 @@ class PathInstance:
         return len(self.labels)
 
 
-def _checked_instance(topology: str, labels: tuple[int, ...]) -> PathInstance:
-    """A PathInstance built without its checks, for labels the library has checked."""
+def _checked_instance(
+    topology: str, labels: tuple[int, ...], proper_over: int | None = None
+) -> PathInstance:
+    """A PathInstance built without its checks, for labels the library has checked.
+
+    ``proper_over`` records that the labels are a proper colouring in
+    1..proper_over, for ``run_algorithm`` to trust.  It is a private
+    attribute, not a field: it takes no part in eq, repr or hash, and an
+    instance built by ``PathInstance(...)`` or ``dataclasses.replace``
+    does not carry it.
+    """
     instance = object.__new__(PathInstance)
     object.__setattr__(instance, "topology", topology)
     object.__setattr__(instance, "labels", labels)
+    if proper_over is not None:
+        object.__setattr__(instance, "_proper_over", proper_over)
     return instance
 
 
@@ -393,7 +404,11 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     2), applied backwards from the head and mirrored past the tail.
 
     Every stage is defined on a proper colouring over its input palette
-    only.  The instance is checked for the first stage; each later stage's
+    only.  The instance is checked for the first stage, unless
+    ``random_proper_instance`` built it over a palette no larger than the
+    algorithm's input palette: such an instance is proper by construction
+    and records its palette, and any other instance, also one copied from
+    it by ``dataclasses.replace``, is checked.  Each later stage's
     input, the output of the stage before it, is checked before it runs,
     and a ValueError names the stage whose input fails.  Each stage then
     takes one path, chosen before it runs.  A one-round stage whose rule
@@ -406,11 +421,13 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     (``_WindowTable``).  Any other stage calls its rule at every node.
     """
     labels = instance.labels
-    # PathInstance holds ints >= 1 only, so the largest label decides.
-    if max(labels) > alg.in_palette.size:
-        raise ValueError("instance labels do not lie in the algorithm's input palette")
-    if not is_proper(instance):
-        raise ValueError("input instance is not properly coloured")
+    proper_over = getattr(instance, "_proper_over", None)
+    if proper_over is None or proper_over > alg.in_palette.size:
+        # PathInstance holds ints >= 1 only, so the largest label decides.
+        if max(labels) > alg.in_palette.size:
+            raise ValueError("instance labels do not lie in the algorithm's input palette")
+        if not is_proper(instance):
+            raise ValueError("input instance is not properly coloured")
 
     t = alg.rounds
     before = t
@@ -584,12 +601,29 @@ def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None =
     return True
 
 
+# Byte-palette walks.  _WALK_DRAWS[k] maps the top byte of a 32-bit word
+# to 1 + its top k bits, the k-bit draw of ``getrandbits(k)`` plus one; the
+# byte 255 of k = 8 would give 256, but it is rejected for every m <= 255.
+# A walk takes the byte path from _BYTE_WALK_STEPS steps on: shorter ones,
+# such as ``sampled_properness_check``'s, are faster in the step loop.
+_BYTES = bytes(range(256))
+_WALK_DRAWS = [b""] + [bytes((b >> 8 - k) + 1 & 255 for b in _BYTES) for k in range(1, 9)]
+_BYTE_WALK_STEPS = 64
+
+
 def _random_walk(rng: random.Random, n: int, length: int) -> list[int]:
     """``length`` colours in [n], each uniform over those unlike the one before.
 
     Each step draws what ``rng.randint(1, n - 1)`` would, with the same
     calls to ``getrandbits`` (CPython's rejection loop), minus its argument
-    handling.
+    handling.  For n - 1 < 256 a long walk draws its words in batches of
+    the steps still needed, ``getrandbits(32 * need)``, which gives the
+    words one ``getrandbits(k)`` call each would, so it never draws past
+    the last step.  A k-bit draw is the top k bits of its word, so the top
+    byte of each word (byte 3 of the little-endian bytes) and one
+    ``bytes.translate`` give every draw plus one and drop the rejected
+    ones; only the label step runs in Python.  Wider palettes keep the
+    step loop: bulk draws were no faster there.
     """
     if n < 2 and length > 1:
         raise ValueError("a walk of two or more colours needs n >= 2")
@@ -598,7 +632,19 @@ def _random_walk(rng: random.Random, n: int, length: int) -> list[int]:
     k = m.bit_length()
     prev = rng.randint(1, n)
     walk = [prev]
-    for _ in range(length - 1):
+    need = length - 1
+    if k <= 8 and need >= _BYTE_WALK_STEPS:
+        table, reject = _WALK_DRAWS[k], _BYTES[m << 8 - k :]
+        append = walk.append
+        while need:
+            draws = getrandbits(32 * need).to_bytes(4 * need, "little")[3::4]
+            draws = draws.translate(table, reject)
+            for r in draws:
+                prev = r if r < prev else r + 1
+                append(prev)
+            need -= len(draws)
+        return walk
+    for _ in range(need):
         r = getrandbits(k)
         while r >= m:
             r = getrandbits(k)
@@ -757,7 +803,11 @@ def bounds_report(n: int | TowerValue) -> BoundsReport:
 def random_proper_instance(
     n: int, length: int, seed: int, topology: str = CYCLE
 ) -> PathInstance:
-    """Seeded random properly-coloured instance with labels in [n]."""
+    """Seeded random properly-coloured instance with labels in [n].
+
+    The instance records that it is proper over [n], so ``run_algorithm``
+    does not check it again for an algorithm of at least n input colours.
+    """
     if n < 2:
         raise ValueError("need at least 2 colours")
     if length < 2:
@@ -771,7 +821,7 @@ def random_proper_instance(
     if topology == CYCLE:
         while labels[-1] == labels[0] or labels[-1] == labels[-2]:
             labels[-1] = rng.randint(1, n)
-    return _checked_instance(topology, tuple(labels))
+    return _checked_instance(topology, tuple(labels), proper_over=n)
 
 
 def format_instance(instance: PathInstance) -> str:

@@ -41,6 +41,8 @@ _ISOLATE = bytes(b & -b for b in range(256))
 _ONE = bytes(map(bool, range(256)))
 _LOW = [bytes(b and 8 * p + b.bit_length() for b in _ISOLATE) for p in range(8)]
 _LOW_CV = [bytes(b and 16 * p + 2 * b.bit_length() - 1 for b in _ISOLATE) for p in range(8)]
+# _SET_BIT[i] sets bit i of a byte.
+_SET_BIT = [bytes(b | 1 << i for b in range(256)) for i in range(8)]
 # Colours whose masks ``_subset_minima`` gathers at a time, so that the
 # gather holds a few thousand transient ints, not one per node.
 _GATHER = 4096
@@ -89,7 +91,9 @@ def _colex_masks(k: int, count: int) -> array | list[int]:
     The j-subsets whose largest element is bit a-1 are the first C(a-1, j-1)
     (j-1)-subsets, each with bit a-1 added, so every level of j-subsets is
     a run of blocks cut from the level below.  A level is kept as bytes of
-    fixed-width lanes, and one big-int OR adds the bit to a whole block.
+    fixed-width lanes.  Bit a-1 lies in one byte plane of every lane (see
+    ``_plane``), so a block is a copy of the level's head with that plane
+    OR-ed through one ``translate``.
     The masks come back packed, as an ``array`` of the least lane width
     that holds them (1 to 8 bytes per colour).  Masks wider than 64 bits
     step Gosper's hack into a list instead: for a small count the k levels
@@ -109,7 +113,6 @@ def _colex_masks(k: int, count: int) -> array | list[int]:
             high = x + low
             x = (((high ^ x) >> 2) // low) | high
         return masks
-    order = sys.byteorder
     level = bytes(width)  # the one 0-subset
     for j in range(1, k + 1):
         blocks = [bytes(width)] if j == k else []  # the last level leads with masks[0]
@@ -118,17 +121,18 @@ def _colex_masks(k: int, count: int) -> array | list[int]:
             if j == k:  # the last level stops at count subsets
                 size = min(size, count)
                 count -= size
-            bit = (1 << (a - 1)).to_bytes(width, order) * size
-            block = int.from_bytes(level[: size * width], "little") | int.from_bytes(bit, "little")
-            blocks.append(block.to_bytes(size * width, "little"))
+            plane, bit = _plane(width, (a - 1) // 8), (a - 1) % 8
+            block = bytearray(level[: size * width])
+            block[plane] = block[plane].translate(_SET_BIT[bit])
+            blocks.append(block)
             size = size * a // (a - j + 1)
         level = b"".join(blocks)
     return array(_TYPECODES[width], level)
 
 
-def _plane(lanes: bytes | memoryview, width: int, p: int) -> bytes | memoryview:
-    """Byte p (bits 8p..8p+7) of every native ``width``-byte lane."""
-    return lanes[p if sys.byteorder == "little" else width - 1 - p :: width]
+def _plane(width: int, p: int) -> slice:
+    """The slice of native ``width``-byte lanes that holds byte p (bits 8p..8p+7) of each."""
+    return slice(p if sys.byteorder == "little" else width - 1 - p, None, width)
 
 
 def _lowest_plane(values: list[bytes]) -> bytes:
@@ -175,7 +179,7 @@ def _subset_minima(seq, masks: array) -> bytes:
     del v
     d = u.to_bytes(size, "little")
     del u
-    return _lowest_plane([_plane(d, width, p).translate(_LOW[p]) for p in range(planes)])
+    return _lowest_plane([d[_plane(width, p)].translate(_LOW[p]) for p in range(planes)])
 
 
 def _bit_pairs(seq, k: int) -> bytes:
@@ -206,10 +210,10 @@ def _bit_pairs(seq, k: int) -> bytes:
     diff = diff.to_bytes(len(v), "little")
     values = []
     for p in range(-(-k // 8)):
-        d = _plane(diff, width, p)
+        d = diff[_plane(width, p)]
         low = d.translate(_LOW_CV[p])
         bit = int.from_bytes(d.translate(_ISOLATE), "little") & int.from_bytes(
-            _plane(v, width, p), "little"
+            v[_plane(width, p)], "little"
         )
         bit = bit.to_bytes(len(d), "little").translate(_ONE)  # that bit of v - 1
         value = int.from_bytes(low, "little") + int.from_bytes(bit, "little")

@@ -511,6 +511,85 @@ def test_random_walk_draws_what_randint_draws():
     assert redraws > 0  # the cycle-closing redraw ran and kept the stream in step
     with pytest.raises(ValueError):
         _random_walk(random.Random(0), 1, 2)
+    # n <= 256 takes the byte path for walks of _BYTE_WALK_STEPS steps or
+    # more, n = 257 never does; with the threshold at 1 every walk of two
+    # or more colours takes it.  The generator states must match too, so
+    # that a walk that drew words past its last step fails even where its
+    # labels agree.
+    for byte_walk_steps in (model._BYTE_WALK_STEPS, 1):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(model, "_BYTE_WALK_STEPS", byte_walk_steps)
+            for n in (2, 3, 5, 127, 128, 129, 255, 256, 257):
+                for length in (*range(1, 71), 10**4):
+                    rng, reference = random.Random(length), random.Random(length)
+                    assert _random_walk(rng, n, length) == _randint_walk(reference, n, length)
+                    assert rng.getstate() == reference.getstate()
+
+
+def _randint_walk(rng, n, length):
+    walk = [rng.randint(1, n)]
+    for _ in range(length - 1):
+        x = rng.randint(1, n - 1)
+        walk.append(x if x < walk[-1] else x + 1)
+    return walk
+
+
+def _is_proper_spy(monkeypatch):
+    calls = []
+
+    def spy(instance):
+        calls.append(instance)
+        return is_proper(instance)
+
+    monkeypatch.setattr(model, "is_proper", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, palette", [(5, 5), (3, 5), (17, 17), (98304, 98304)])
+def test_run_algorithm_trusts_a_random_proper_instance(n, palette, monkeypatch):
+    # proper over [n] by construction, so no rule with n or more colours re-checks it
+    calls = _is_proper_spy(monkeypatch)
+    instance = random_proper_instance(n, 2000, seed=n)
+    alg = compose(ns_schedule(palette))
+    out = run_algorithm(alg, instance)
+    assert calls == []
+    # the same labels built any other way are checked, once, with equal output
+    for copy in (
+        PathInstance(instance.topology, instance.labels),
+        parse_instance(format_instance(instance)),
+        dataclasses.replace(instance),
+    ):
+        assert copy == instance and hash(copy) == hash(instance)
+        assert repr(copy) == repr(instance)
+        assert run_algorithm(alg, copy) == out
+    assert len(calls) == 3
+
+
+def test_run_algorithm_checks_instances_it_did_not_build():
+    alg = identity_algorithm(5)
+    instance = random_proper_instance(5, 100, seed=0)
+    labels = instance.labels
+    equal_neighbours = (labels[1], *labels[1:])
+    out_of_palette = (9, *labels[1:])
+    for improper in (
+        PathInstance(CYCLE, equal_neighbours),
+        parse_instance(format_instance(PathInstance(CYCLE, equal_neighbours))),
+        dataclasses.replace(instance, labels=equal_neighbours),
+    ):
+        with pytest.raises(ValueError, match="input instance is not properly coloured"):
+            run_algorithm(alg, improper)
+    for outside in (
+        PathInstance(CYCLE, out_of_palette),
+        parse_instance(format_instance(PathInstance(CYCLE, out_of_palette))),
+        dataclasses.replace(instance, labels=out_of_palette),
+    ):
+        with pytest.raises(ValueError, match="do not lie in the algorithm's input palette"):
+            run_algorithm(alg, outside)
+    # a random instance over more colours than the rule takes is checked too
+    wider = random_proper_instance(5, 100, seed=0)
+    assert max(wider.labels) == 5
+    with pytest.raises(ValueError, match="do not lie in the algorithm's input palette"):
+        run_algorithm(four_to_three(), wider)
 
 
 def test_instance_text_round_trip():

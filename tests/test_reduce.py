@@ -110,6 +110,19 @@ def test_colex_masks_follow_colex_rank_order():
         assert masks[rank] == _colex_unrank_mask(rank, 10, 20)
 
 
+@pytest.mark.parametrize(
+    "k, m",
+    [(k, 2 * k) for k in range(1, 9)] + [(1, 64), (2, 64), (3, 64)],
+)
+def test_colex_masks_set_each_bit_in_its_byte_plane(k, m):
+    # Every subset of [m]: the full levels of k = 1..8 reach up to two
+    # bytes, and m = 64 crosses every byte-plane boundary of 8-byte lanes.
+    count = comb(m, k)
+    masks = _colex_masks(k, count)
+    assert masks.itemsize == -(-m // 8)  # lanes of 1, 2 or 8 bytes
+    assert masks.tolist() == [0, *(_colex_unrank_mask(r, k, m) for r in range(1, count + 1))]
+
+
 def test_colex_masks_wider_than_a_lane():
     # C(64, 62) = 2016 masks fit 64-bit lanes; the 2017th needs bit 64, so
     # 3000 masks take the Gosper step into a list.  Both agree with the

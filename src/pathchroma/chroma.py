@@ -1,29 +1,32 @@
 """Exact k-colourability and chromatic numbers, with DIMACS CNF export.
 
+A graph, :class:`UGraph`, is its vertex labels and one neighbour mask per
+vertex: bit j of ``nbr[i]`` is set iff vertices i and j are adjacent.
+``model.window_masks`` builds the masks of window graphs from their rank
+blocks, ``UGraph.from_label_edges`` and ``UGraph.from_edges`` OR them from
+edge lists, and the edge pairs exist only on demand, for DIMACS and CNF.
+
 Every colouring search in the package runs one saturation-first (DSATUR,
 Brélaz 1979) backtracking kernel, ``_dsatur``.  It extends the uncoloured
 vertex seeing the most distinct neighbour colours, then the highest degree,
-and undoes its last choice when a vertex has no colour left.  The kernel
-works on int bitsets, after San Segundo's bitboard search (BBMC, 2011).
-Each vertex has one bit position, in pick order: by degree, then by least
-index.  Those positions and each vertex's neighbours as one int are the
-graph's bit layout, built once per graph: the sampler's restarts and its
-complete search share one, and the precoloured clique of
-:func:`k_colourable` is read off it.  ``_bit_layout`` builds it from any
-graph's adjacency lists.  The sampler's graph, the window graph W(n, L) in
-lexicographic rank order, is laid out by ``_window_layout`` straight from
-the window ranks, with no edge set or adjacency lists: a window's
-neighbours are one block of ranks that share its suffix and one set that
-its siblings share, and its degree follows from whether it alternates.
+then the least index, and undoes its last choice when a vertex has no
+colour left.  The kernel works on int bitsets, after San Segundo's bitboard
+search (BBMC, 2011), reading the masks as they are, with no renumbering.
+The graph's bit layout is its masks, its vertices grouped by degree as one
+mask per degree class, by descending degree, and its maximum degree; it is
+built in O(n) by ``_bit_layout``, once per graph: the sampler's restarts and
+its complete search share one, and the precoloured clique of
+:func:`k_colourable` is read off it.
 
 A few ints hold the search state: the uncoloured set, one set per colour of
 the vertices that colour is forbidden to, and the saturation as a
 bit-sliced counter.  A pick masks the uncoloured set by the counter's
-planes from the top down and takes the highest set bit.  Colouring v with c
-adds ``nbr[v] & free & ~forb[c]`` to ``forb[c]`` and ripples it through the
-planes as a carry; a frame keeps that one int and v's position, and undo is
-an XOR and a borrow ripple.  So the int operations per search node depend
-on k, not on how many neighbours the vertex has.
+planes from the top down, then by the first degree class that meets it,
+and takes the lowest set bit.  Colouring v with c adds
+``nbr[v] & free & ~forb[c]`` to ``forb[c]`` and ripples it through the
+planes as a carry; a frame keeps that one int and v, and undo is an XOR and
+a borrow ripple.  So the int operations per search node depend on k and the
+number of degree classes, not on how many neighbours the vertex has.
 
 Without an RNG it is the complete search of :func:`k_colourable`: ties go
 to the least index and colours are tried in ascending order, up to one
@@ -36,30 +39,27 @@ colouring behind the upper bound of :func:`chromatic_number`.
 
 With an RNG it is the restart body of ``speedup.random_proper_table``: the
 tied vertices, in ascending index order, and a shuffled order of all free
-colours are drawn from the RNG, under a backtrack cap.  The ties are the top
-candidates of the best pick's degree class, a run of adjacent bit
-positions; the RNG draws an index into them, so a seed fixes the search on
-any interpreter.  The draws are ``rng.choice`` and ``rng.shuffle``'s own,
-made inline from ``getrandbits``.  The fresh-colour cap is left out: a
-sampler needs no symmetry breaking, and the cap would change the random
-stream that sampled tables come from.
+colours are drawn from the RNG, under a backtrack cap.  The ties are the
+top candidates of the best pick's degree class; the RNG draws an index into
+them, so a seed fixes the search on any interpreter.  The draws are
+``rng.choice`` and ``rng.shuffle``'s own, made inline from ``getrandbits``.
+The fresh-colour cap is left out: a sampler needs no symmetry breaking,
+and the cap would change the random stream that sampled tables come from.
 
-The graph type, :class:`UGraph`, lives here with the search.  Every layer
-above builds graphs to colour: ``speedup`` its successor graphs,
-``graphs`` N(n,1), S2* and DIMACS text.  Defining the type below
-them all lets each of those import it without a cycle.
+The graph type lives here with the search.  Every layer above builds
+graphs to colour: ``speedup`` its successor graphs, ``graphs`` N(n,1), S2*
+and DIMACS text.  Defining the type below them all lets each of those
+import it without a cycle.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
-from operator import lshift, or_
-from typing import TYPE_CHECKING, Hashable, Iterable, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Hashable, Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import BudgetExceeded
-from .model import _suffix_ranks, canonical_label, count_proper_sequences
+from .model import canonical_label
 
 if TYPE_CHECKING:
     import random
@@ -67,24 +67,52 @@ if TYPE_CHECKING:
 DEFAULT_NODE_LIMIT = 20_000_000
 
 
+def _members(mask: int) -> Iterator[int]:
+    """The set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 @dataclass(frozen=True)
 class UGraph:
     """Undirected simple graph with hashable vertex labels.
 
-    Edges are stored as index pairs (i < j) into ``labels``; loops and
-    duplicate labels are rejected at construction.
+    ``nbr[i]`` has bit j set iff vertices i and j (indices into ``labels``)
+    are adjacent.  Every constructor builds the masks symmetric; the checks
+    here are O(n) int operations: duplicate labels, a mask count other than
+    the label count, a bit outside the vertices and a loop are rejected.
     """
 
     labels: tuple[Hashable, ...]
-    edges: frozenset[tuple[int, int]]
+    nbr: tuple[int, ...]
 
     def __post_init__(self) -> None:
         if len(set(self.labels)) != len(self.labels):
             raise ValueError("duplicate vertex labels")
+        object.__setattr__(self, "nbr", tuple(self.nbr))
         n = len(self.labels)
-        for i, j in self.edges:
-            if not (0 <= i < j < n):
+        if len(self.nbr) != n:
+            raise ValueError(f"{len(self.nbr)} neighbour masks for {n} vertices")
+        if min(self.nbr, default=0) < 0 or max(self.nbr, default=0) >> n:
+            raise ValueError("neighbour mask outside the vertices")
+        for i, mask in enumerate(self.nbr):
+            if mask >> i & 1:
+                raise ValueError(f"loop at {canonical_label(self.labels[i])}")
+
+    @classmethod
+    def from_edges(cls, labels: Iterable[Hashable], edges: Iterable[tuple[int, int]]) -> "UGraph":
+        """The graph whose edges are the given index pairs, in either order."""
+        labels = tuple(labels)
+        n = len(labels)
+        nbr = [0] * n
+        for i, j in edges:
+            if not (0 <= i < n and 0 <= j < n) or i == j:
                 raise ValueError(f"bad edge ({i}, {j})")
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        return cls(labels, nbr)
 
     @classmethod
     def from_label_edges(
@@ -92,13 +120,14 @@ class UGraph:
     ) -> "UGraph":
         labels = tuple(labels)
         index = {lab: i for i, lab in enumerate(labels)}
-        edges = set()
+        nbr = [0] * len(labels)
         for a, b in label_edges:
             i, j = index[a], index[b]
             if i == j:
                 raise ValueError(f"loop at {canonical_label(a)}")
-            edges.add((min(i, j), max(i, j)))
-        return cls(labels, frozenset(edges))
+            nbr[i] |= 1 << j
+            nbr[j] |= 1 << i
+        return cls(labels, nbr)
 
     @property
     def vertex_count(self) -> int:
@@ -106,24 +135,30 @@ class UGraph:
 
     @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return sum(map(int.bit_count, self.nbr)) >> 1
 
-    def adjacency(self) -> list[list[int]]:
-        adj: list[list[int]] = [[] for _ in self.labels]
-        for i, j in self.edges:
-            adj[i].append(j)
-            adj[j].append(i)
-        return adj
+    @property
+    def edges(self) -> frozenset[tuple[int, int]]:
+        """The edges as index pairs (i < j), built on each call."""
+        return frozenset(
+            (i, j) for i, mask in enumerate(self.nbr) for j in _members(mask >> i + 1 << i + 1)
+        )
 
     def label_edges(self) -> frozenset[frozenset]:
         return frozenset(frozenset({self.labels[i], self.labels[j]}) for i, j in self.edges)
 
     def is_subgraph_of(self, other: "UGraph") -> bool:
         """Label-respecting subgraph test: vertices and edges both contained."""
-        theirs = set(other.labels)
-        if not set(self.labels) <= theirs:
+        index = {lab: i for i, lab in enumerate(other.labels)}
+        if not all(map(index.__contains__, self.labels)):
             return False
-        return self.label_edges() <= other.label_edges()
+        where = list(map(index.__getitem__, self.labels))
+        for i, mask in enumerate(self.nbr):
+            theirs = other.nbr[where[i]]
+            for j in _members(mask):
+                if not theirs >> where[j] & 1:
+                    return False
+        return True
 
 
 @dataclass(frozen=True)
@@ -147,117 +182,41 @@ class ColouringCertificate:
 
 
 class _BitLayout(NamedTuple):
-    """The per-graph part of the search: each vertex as one bit position.
+    """The per-graph part of the search, read straight off the graph's masks."""
 
-    Positions are in pick order: by degree, then by descending index, so a
-    set's highest bit is its best pick.
-    """
-
-    order: list[int]  # order[p]: the vertex at position p
-    position: list[int]  # position[v]: the position of vertex v
-    nbr: list[int]  # nbr[p]: the positions of p's neighbours, as one int
-    class_low: list[int]  # class_low[p]: the lowest position of p's degree class
+    nbr: Sequence[int]  # nbr[v]: v's neighbours, bit u for vertex u
+    classes: list[int]  # the vertices of each degree, one mask per degree, by descending degree
     max_degree: int
 
 
-def _bit_layout(adj: list[Sequence[int]]) -> _BitLayout:
-    """Lay out a graph, given as adjacency lists, for :func:`_dsatur`."""
-    n = len(adj)
-    degrees = [len(a) for a in adj]
-    order = sorted(range(n - 1, -1, -1), key=degrees.__getitem__)  # stable: ties by -index
-    position = [0] * n
-    for p, v in enumerate(order):
-        position[v] = p
-    nbr = []
-    for v in order:
-        mask = 0
-        for u in adj[v]:
-            mask |= 1 << position[u]
-        nbr.append(mask)
-    class_low = list(range(n))
-    for p in range(1, n):
-        if degrees[order[p]] == degrees[order[p - 1]]:
-            class_low[p] = class_low[p - 1]
-    return _BitLayout(order, position, nbr, class_low, max(degrees, default=0))
-
-
-def _window_layout(n: int, length: int) -> _BitLayout:
-    """The layout of W(n, length), the window graph in lexicographic rank order.
-
-    It equals ``_bit_layout`` of the adjacency of the edges
-    ``model.window_edges(n, length, range(count))``, but is worked out from
-    the rank blocks, without an edge set or adjacency lists.  With
-    m = n - 1, the out-neighbours of rank r are the m ranks from
-    suffix[r] * m, one block shared by every window with that suffix; its
-    in-neighbours are the m windows whose suffix rank is r // m, one set
-    shared by r's m siblings.  So all the block masks cost one OR per window,
-    and each window's mask is one OR of its two blocks.  Every window has
-    degree 2m but the n * m alternating ones (a, b, a, ...), whose 2-cycle
-    makes one in-neighbour an out-neighbour too: they form the lower degree
-    class, so the pick order needs no degree count.
-    """
-    count = count_proper_sequences(n, length)
-    if length < 2 or n < 2:  # K_count: every two windows of one colour are a shift apart
-        order = list(range(count - 1, -1, -1))
-        everyone = (1 << count) - 1
-        nbr = [everyone ^ 1 << p for p in range(count)]
-        return _BitLayout(order, order.copy(), nbr, [0] * count, max(count - 1, 0))
-    m = n - 1
-    alternating = []  # their ranks, ascending: the digits of (a, b), then repeated
-    for a in range(n):
-        for d in range(m):
-            digits = (a - (a > d), d)  # the digit of a after b, and of b after a
-            rank = a
-            for i in range(length - 1):
-                rank = rank * m + digits[i % 2 == 0]
-            alternating.append(rank)
-    # Pick order, as _bit_layout sorts it: the alternating windows, then the
-    # others, each by descending rank.  So the j-th alternating rank from the
-    # bottom sits at lows - 1 - j, and any other rank r with j alternating
-    # ranks below it at count - 1 - r + j.
-    lows = len(alternating)
-    position = []
-    for j, (low, high) in enumerate(zip([-1, *alternating], [*alternating, count])):
-        position += range(count - 2 - low + j, count - 1 - high + j, -1)
-        position.append(lows - 1 - j)
-    del position[-1]  # the one for the end, count, which is no rank
-    order = sorted(range(count), key=position.__getitem__)
-
-    bits = list(map(lshift, repeat(1), position))  # by rank
-    out = bits[::m]  # out[s]: the ranks s * m .. s * m + m - 1, the windows with prefix s
-    for d in range(1, m):
-        out = list(map(or_, out, bits[d::m]))
-    # into[q]: the windows whose suffix has rank q.  Those of first colour z
-    # list, in rank order, the suffixes of every other first colour, so they
-    # fill into[:cut] and into[cut + per:] in one pass each.
-    block = count // n  # windows per first colour
-    per = block // m  # suffixes per first colour
-    into = [0] * (count // m)
-    for z in range(n):
-        cut, first = z * per, z * block
-        into[:cut] = map(or_, into[:cut], bits[first : first + cut])
-        into[cut + per :] = map(or_, into[cut + per :], bits[first + cut : first + block])
-    suffix = _suffix_ranks(n, length)
-    siblings = chain.from_iterable(map(repeat, into, repeat(m)))  # into[r // m], by rank
-    nbr = list(map(or_, map(out.__getitem__, suffix), siblings))
-    class_low = [0] * lows + [lows] * (count - lows)
-    max_degree = 2 * m - (lows == count)
-    return _BitLayout(order, position, list(map(nbr.__getitem__, order)), class_low, max_degree)
+def _bit_layout(nbr: Sequence[int]) -> _BitLayout:
+    """Lay out a graph, given as neighbour masks, for :func:`_dsatur`."""
+    degrees = list(map(int.bit_count, nbr))
+    max_degree = max(degrees, default=0)
+    classes = [0] * (max_degree + 1)
+    for v, d in enumerate(degrees):
+        classes[d] |= 1 << v
+    return _BitLayout(nbr, [c for c in reversed(classes) if c], max_degree)
 
 
 def _clique(layout: _BitLayout) -> list[int]:
     """A greedy clique: vertices by degree, then index, each joined to all before it.
 
     The candidates are the vertices joined to every member so far, and the
-    next member is their best pick, the highest set bit.
+    next member is their best pick: the least index in the highest degree
+    class that meets them.
     """
-    order, nbr = layout.order, layout.nbr
+    nbr, classes = layout.nbr, layout.classes
     clique = []
-    candidates = (1 << len(order)) - 1
+    candidates = (1 << len(nbr)) - 1
     while candidates:
-        p = candidates.bit_length() - 1
-        clique.append(order[p])
-        candidates &= nbr[p]
+        for members in classes:
+            tied = candidates & members
+            if tied:
+                break
+        v = (tied & -tied).bit_length() - 1
+        clique.append(v)
+        candidates &= nbr[v]
     return clique
 
 
@@ -310,25 +269,29 @@ def _dsatur(
     exhausted or has backtracked more than ``max_backtracks`` times.
     Raises :class:`BudgetExceeded` past ``node_limit`` nodes.
 
-    Without an RNG a vertex's colours are scanned upward, one per try, up
-    to a cap of one above the largest in use; a frame keeps the last colour
-    tried and the cap.  With an RNG the free colours are listed and
-    shuffled.  Its draws come from ``rng.getrandbits`` as ``rng.choice``
-    and ``rng.shuffle`` make them, call for call (``Random._randbelow``'s
-    rejection loop), as ``model._random_walk`` draws ``randint``.
+    A pick narrows the uncoloured set to the largest saturation, then to
+    the first degree class, by descending degree, that meets it: those are
+    the tied vertices.  Without an RNG the pick is the lowest of them, and
+    a vertex's colours are scanned upward, one per try, up to a cap of one
+    above the largest in use; a frame keeps the last colour tried and the
+    cap.  With an RNG the pick is the r-th lowest tie for a drawn r, and
+    the free colours are listed and shuffled.  Its draws come from
+    ``rng.getrandbits`` as ``rng.choice`` and ``rng.shuffle`` make them,
+    call for call (``Random._randbelow``'s rejection loop), as
+    ``model._random_walk`` draws ``randint``.
     """
     precolouring = precolouring or {}
-    order, position, nbr, class_low, max_degree = layout
-    n = len(order)
+    nbr, classes, max_degree = layout
+    n = len(nbr)
     free = (1 << n) - 1  # uncoloured, less the vertex whose colours are being tried
     forb = [0] * (k + 1)  # forb[c]: vertices with a neighbour coloured c (kept on free ones)
     max_used = 0
     for v, c in precolouring.items():
-        free ^= 1 << position[v]
-        forb[c] |= nbr[position[v]]
+        free ^= 1 << v
+        forb[c] |= nbr[v]
         max_used = max(max_used, c)
-    # Saturation, bit-sliced and most significant plane first: bit p of
-    # planes[-1 - j] is bit j of p's count of forbidden colours.  Counts
+    # Saturation, bit-sliced and most significant plane first: bit v of
+    # planes[-1 - j] is bit j of v's count of forbidden colours.  Counts
     # change by rippling a carry (or borrow) set up from planes[-1], and
     # never exceed k or the degree.
     planes = [0] * min(k, max_degree).bit_length()
@@ -352,22 +315,22 @@ def _dsatur(
             higher = top & plane
             if higher:
                 top = higher
-        p = top.bit_length() - 1
+        for members in classes:
+            tied = top & members
+            if tied:
+                break
+        bit = tied & -tied
         if rng is None:
-            bit = 1 << p
             # rest: the cap; a fresh colour beyond max_used + 1 is symmetric to max_used + 1
             c, rest = 0, max_used + 1 if max_used < k else k
         else:
-            low = class_low[p]
-            ties = top >> low  # the top candidates of p's degree class, by descending index
-            m = ties.bit_count()
+            m = tied.bit_count()
             width = m.bit_length()  # r = rng.choice(range(m)):
             r = getrandbits(width)
             while r >= m:
                 r = getrandbits(width)
-            if r:  # else the pick is p, the highest
-                p = low + _nth_highest_bit(ties, r, m)
-            bit = 1 << p
+            if r:  # else the pick is the lowest
+                bit = 1 << _nth_highest_bit(tied, m - 1 - r, m)
             rest = [c for c in palette if not forb[c] & bit]
             for i in range(len(rest) - 1, 0, -1):  # rng.shuffle(rest):
                 width = (i + 1).bit_length()
@@ -375,6 +338,7 @@ def _dsatur(
                 while r > i:
                     r = getrandbits(width)
                 rest[i], rest[r] = rest[r], rest[i]
+        v = bit.bit_length() - 1
         free ^= bit
 
         while True:
@@ -390,7 +354,7 @@ def _dsatur(
                 nodes += 1
                 if nodes > node_limit:
                     raise BudgetExceeded(f"node limit {node_limit} hit after {nodes - 1} nodes")
-                add = nbr[p] & free
+                add = nbr[v] & free
                 add ^= add & forb[c]
                 forb[c] |= add
                 carry = add
@@ -400,7 +364,7 @@ def _dsatur(
                     planes[j] = plane ^ carry
                     carry &= plane
                     j -= 1
-                frames.append((p, rest, c, add, max_used))
+                frames.append((v, rest, c, add, max_used))
                 if c > max_used:
                     max_used = c
                 break
@@ -408,8 +372,8 @@ def _dsatur(
             backtracks += 1
             if backtracks > max_backtracks or not frames:
                 return None, nodes
-            p, rest, c, add, max_used = frames.pop()
-            bit = 1 << p
+            v, rest, c, add, max_used = frames.pop()
+            bit = 1 << v
             forb[c] ^= add
             borrow = add
             j = -1
@@ -421,14 +385,18 @@ def _dsatur(
     colour = [0] * n
     for v, c in precolouring.items():
         colour[v] = c
-    for p, _, c, _, _ in frames:
-        colour[order[p]] = c
+    for v, _, c, _, _ in frames:
+        colour[v] = c
     return colour, nodes
 
 
 def is_proper_colouring(graph: UGraph, assignment: dict) -> bool:
-    labels = graph.labels
-    return all(assignment[labels[i]] != assignment[labels[j]] for i, j in graph.edges)
+    """True iff no vertex has a neighbour in its own colour class."""
+    colours = [assignment[label] for label in graph.labels]
+    classes: dict = {}
+    for v, c in enumerate(colours):
+        classes[c] = classes.get(c, 0) | 1 << v
+    return not any(map(int.__and__, graph.nbr, map(classes.__getitem__, colours)))
 
 
 def k_colourable(
@@ -443,18 +411,24 @@ def k_colourable(
     """
     if k < 1:
         raise ValueError("k must be positive")
-    return _k_colourable(graph, _bit_layout(graph.adjacency()), k, node_limit)
+    return _k_colourable(graph, _bit_layout(graph.nbr), k, node_limit)
 
 
 def _k_colourable(
     graph: UGraph, layout: _BitLayout, k: int, node_limit: int | None
 ) -> ColouringCertificate:
-    """:func:`k_colourable` on the graph's layout, which the caller may share."""
+    """:func:`k_colourable` on the graph's layout, which the caller may share.
+
+    The search runs with at most as many colours as vertices: it never
+    tries one above the largest in use plus one, so the nodes and the
+    colouring are those of any larger k, which the certificate keeps.
+    """
     node_limit = DEFAULT_NODE_LIMIT if node_limit is None else node_limit
+    palette = min(k, graph.vertex_count)
     # Precolouring a clique is sound up to permuting colours; if the clique
     # is larger than k the leftover members simply have empty domains.
-    precolouring = {v: i for i, v in enumerate(_clique(layout)[:k], start=1)}
-    colour, nodes = _dsatur(layout, k, precolouring, node_limit=node_limit)
+    precolouring = {v: i for i, v in enumerate(_clique(layout)[:palette], start=1)}
+    colour, nodes = _dsatur(layout, palette, precolouring, node_limit=node_limit)
     if colour is None:
         return ColouringCertificate(k, False, None, nodes)
     assignment = dict(zip(graph.labels, colour))
@@ -469,7 +443,7 @@ def chromatic_number(graph: UGraph, *, node_limit: int | None = None) -> int:
     """
     if graph.vertex_count == 0:
         return 0
-    layout = _bit_layout(graph.adjacency())
+    layout = _bit_layout(graph.nbr)
     lower = max(1, len(_clique(layout)))
     colour, _ = _dsatur(layout, graph.vertex_count)  # greedy: never backtracks
     upper = max(colour)

@@ -4,7 +4,8 @@ Exit codes: 0 success / claim verified, 1 claim refuted, 2 usage error,
 3 enumeration or search budget exceeded.  The PATHCHROMA_BUDGET environment
 variable overrides the default enumeration budget; a --budget flag
 overrides both.  In ``colour`` and ``repro-paper`` the same budget also caps
-the nodes of each complete colouring search.
+the nodes of each complete colouring search, and ``colour`` counts the
+vertices a DIMACS header claims against it before it builds any.
 """
 
 from __future__ import annotations
@@ -178,9 +179,9 @@ def cmd_graph(args) -> int:
 
 
 def cmd_colour(args) -> int:
-    with open(args.input) as handle:
-        graph = from_dimacs(handle.read())
     budget = _resolve_budget(args.budget)
+    with open(args.input) as handle:
+        graph = from_dimacs(handle.read(), budget=budget)
     if args.chromatic:
         print(f"chromatic={chromatic_number(graph, node_limit=budget)}")
         return 0
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--chromatic", action="store_true", help="compute the chromatic number")
     p.add_argument("--cnf", default=None, help="also write the CNF encoding here")
     p.add_argument("--budget", type=int, default=None,
-                   help="search node limit (default PATHCHROMA_BUDGET or 10^8)")
+                   help="vertex and search node limit (default PATHCHROMA_BUDGET or 10^8)")
     p.set_defaults(func=cmd_colour)
 
     p = sub.add_parser("bounds", help="round-complexity bounds for 3-colouring")

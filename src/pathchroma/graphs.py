@@ -8,10 +8,13 @@ arc-graph right adjoint); any concrete algorithm's second-level successor
 graph embeds into it, and its explicit 16-class partition turns a
 3-colouring algorithm into a 16-colouring one two rounds faster.
 
-The graphs are :class:`UGraph` values, the type defined in ``chroma`` with
-the search that colours them and imported here.  ``speedup`` builds window
-and successor graphs of that type too, and it sits below this module, so
-the type cannot live here.
+The graphs are :class:`UGraph` values, labels plus one neighbour mask per
+vertex, the type defined in ``chroma`` with the search that colours them
+and imported here.  Window graphs take their masks from
+``model.window_masks``, the package's one window-graph builder; S2* and
+DIMACS input OR theirs from edge lists.  ``speedup`` builds successor
+graphs of that type too, and it sits below this module, so the type
+cannot live here.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from .model import (
     canonical_label,
     count_proper_sequences,
     proper_sequences,
-    window_edges,
+    window_masks,
 )
 from .speedup import iterate_speed_up
 
@@ -48,8 +51,8 @@ def neighbourhood_graph(
     (default ``DEFAULT_BUDGET``).
 
     The vertex order is chosen here, the nested order: by largest colour,
-    then lexicographically.  ``window_edges`` builds the one edge set
-    straight in it, from the chosen ranks.  The first
+    then lexicographically.  ``window_masks`` builds the neighbour masks
+    straight in it, from the rank blocks of the chosen ranks.  The first
     ``neighbourhood_graph(n - 1, t)`` vertices of this graph are then
     exactly that graph, with the same edges.  The search breaks its
     saturation and degree ties by least index, so its ties fall inside the
@@ -76,7 +79,7 @@ def neighbourhood_graph(
         ranks = itertools.compress(ranks, (len(set(w)) == length for w in windows))
     # sorted is stable, so windows with one largest colour stay lexicographic
     ranks = sorted(ranks, key=list(map(max, windows)).__getitem__)
-    return UGraph(tuple(map(windows.__getitem__, ranks)), window_edges(n, length, ranks))
+    return UGraph(tuple(map(windows.__getitem__, ranks)), window_masks(n, length, ranks))
 
 
 def _delta_r(out: Mapping[Hashable, frozenset]) -> dict[frozenset, frozenset[frozenset]]:
@@ -182,13 +185,16 @@ def to_dimacs(graph: UGraph) -> str:
     return "\n".join(lines) + "\n"
 
 
-def from_dimacs(text: str) -> UGraph:
+def from_dimacs(text: str, *, budget: int | None = None) -> UGraph:
     """Parse DIMACS .col; labels come from ``c label`` comments when present.
 
     A second label for one vertex and a label for a vertex outside 1..n are
     errors.  The edge count on the ``p`` line is not checked: files in the
-    wild often count each edge twice.
+    wild often count each edge twice.  Raises :class:`BudgetExceeded` as
+    soon as the ``p`` line claims more than ``budget`` vertices (default
+    ``DEFAULT_BUDGET``), before any vertex is built.
     """
+    budget = DEFAULT_BUDGET if budget is None else budget
     n = None
     edges: list[tuple[int, int]] = []
     labels: dict[int, str] = {}
@@ -204,13 +210,15 @@ def from_dimacs(text: str) -> UGraph:
             n = int(parts[2])
             if n < 0:
                 raise ValueError(f"negative vertex count: {line!r}")
+            if n > budget:
+                raise BudgetExceeded(f"{n} vertices exceed budget {budget}")
         elif parts[0] == "e":
             if len(parts) < 3:
                 raise ValueError(f"bad edge line: {line!r}")
             u, v = int(parts[1]) - 1, int(parts[2]) - 1
             if u == v:
                 raise ValueError("loops are not allowed")
-            edges.append((min(u, v), max(u, v)))
+            edges.append((u, v))
         elif parts[0] == "c" and len(parts) >= 3 and parts[1] == "label":
             vertex = int(parts[2]) - 1
             if vertex in labels:
@@ -223,4 +231,4 @@ def from_dimacs(text: str) -> UGraph:
     if any(not 0 <= vertex < n for vertex in labels):
         raise ValueError("label for a vertex outside the vertex range")
     names = tuple(labels.get(i, str(i + 1)) for i in range(n))
-    return UGraph(names, frozenset(edges))
+    return UGraph.from_edges(names, edges)

@@ -19,7 +19,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from math import inf, log2
-from operator import eq
+from operator import eq, floordiv, or_
 from typing import Callable, Iterator, Sequence
 
 from .errors import BudgetExceeded
@@ -532,30 +532,44 @@ def _suffix_ranks(n: int, length: int) -> array:
     return suffix
 
 
-def window_edges(n: int, length: int, ranks: Sequence[int]) -> frozenset:
-    """The one-step shift edges among the windows of the given ranks.
+def window_masks(n: int, length: int, ranks: Sequence[int]) -> list[int]:
+    """The one-step shift graph on the windows of the given ranks, as neighbour masks.
 
     Vertex i is the window of rank ``ranks[i]`` in ``proper_sequences(n,
-    length)``; the caller picks the windows and their order.  Edge (i, j),
-    i < j, joins the windows of adjacent nodes (w and w[1:] + (y,)), so
-    proper colourings of the graph are exactly the proper rules on these
-    windows.  The windows w[1:] + (y,) of the window of rank r are the
-    m = n - 1 ranks from suffix[r] * m, and a rank -> vertex list drops
-    those not chosen.
+    length)``; the caller picks the windows and their order.  Bit j of
+    mask i is set iff windows i and j are those of adjacent nodes (one is
+    w, the other w[1:] + (y,)), so proper colourings of the graph are
+    exactly the proper rules on these windows.  With m = n - 1, the
+    out-neighbours of rank r are the m ranks from suffix[r] * m, one block
+    shared by every window with that suffix; its in-neighbours are the m
+    windows whose suffix rank is r // m, one set shared by r's m siblings.
+    So all the block masks cost one OR per rank, a rank not chosen adding
+    no bit, and each vertex's mask is one OR of its two blocks.
     """
-    if length < 2:  # every two windows of one colour are a shift apart
-        return frozenset(itertools.combinations(range(len(ranks)), 2))
+    if length < 2 or n < 2:  # every two windows of one colour are a shift apart
+        everyone = (1 << len(ranks)) - 1
+        return [everyone ^ 1 << i for i in range(len(ranks))]
     m = n - 1
-    suffix = _suffix_ranks(n, length)
-    vertex = [-1] * len(suffix)  # one int object per vertex, shared by its edges
+    count = count_proper_sequences(n, length)
+    bits = [0] * count  # bits[r]: the bit of the window of rank r, 0 if not chosen
     for i, r in enumerate(ranks):
-        vertex[r] = i
-    return frozenset(
-        (i, j) if i < j else (j, i)
-        for i, head in enumerate(map(m.__mul__, map(suffix.__getitem__, ranks)))
-        for j in vertex[head : head + m]
-        if j >= 0
-    )
+        bits[r] = 1 << i
+    out = bits[::m]  # out[s]: the ranks s * m .. s * m + m - 1, the windows with prefix s
+    for d in range(1, m):
+        out = list(map(or_, out, bits[d::m]))
+    # into[q]: the windows whose suffix has rank q.  Those of first colour z
+    # list, in rank order, the suffixes of every other first colour, so they
+    # fill into[:cut] and into[cut + per:] in one pass each.
+    block = count // n  # windows per first colour
+    per = block // m  # suffixes per first colour
+    into = [0] * (count // m)
+    for z in range(n):
+        cut, first = z * per, z * block
+        into[:cut] = map(or_, into[:cut], bits[first : first + cut])
+        into[cut + per :] = map(or_, into[cut + per :], bits[first + cut : first + block])
+    heads = map(_suffix_ranks(n, length).__getitem__, ranks)
+    prefixes = map(floordiv, ranks, itertools.repeat(m))
+    return list(map(or_, map(out.__getitem__, heads), map(into.__getitem__, prefixes)))
 
 
 def exhaustive_properness_check(alg: ReductionAlgorithm, *, budget: int | None = None) -> bool:

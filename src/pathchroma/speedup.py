@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from operator import floordiv, or_
 from typing import Callable, Hashable, Iterator, Sequence
 
-from .chroma import UGraph, _dsatur, _window_layout
+from .chroma import UGraph, _bit_layout, _dsatur
 from .errors import BudgetExceeded
 from .model import (
     DEFAULT_BUDGET,
@@ -34,6 +34,7 @@ from .model import (
     canonical_label,
     count_proper_sequences,
     proper_sequences,
+    window_masks,
 )
 
 Colour = Hashable  # int at level 0, frozenset of previous-level colours above
@@ -595,12 +596,12 @@ def random_proper_table(
       saying whether the complete search decided feasibility.
     """
     # Only the labels and one bit layout live through the restarts, and the
-    # layout is read off the rank blocks: no edge set (1.5 MB for n=8, t=3)
-    # or adjacency lists are built.
+    # masks are read off the rank blocks: no edge set (1.5 MB for n=8, t=3)
+    # or UGraph is built.
     # Lexicographic ranks, not the nested order: no fewer nodes here, and a
     # seed fixes its table only in the vertex order it was drawn in.
     labels = tuple(proper_sequences(n, t + 1))
-    layout = _window_layout(n, t + 1)
+    layout = _bit_layout(window_masks(n, t + 1, range(len(labels))))
 
     rng = random.Random(seed)
     feasibility = "feasibility not decided"

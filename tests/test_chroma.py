@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -13,15 +14,14 @@ from pathchroma.chroma import (
     _dsatur,
     _k_colourable,
     _nth_highest_bit,
-    _window_layout,
     chromatic_number,
     export_cnf,
     is_proper_colouring,
     k_colourable,
 )
 from pathchroma.graphs import UGraph, neighbourhood_graph, worst_case_successor_graph
-from pathchroma.model import count_proper_sequences
-from window_graphs import lexicographic_window_graph
+from pathchroma.model import count_proper_sequences, window_masks
+from window_graphs import dict_window_graph, mask_edges
 
 
 def triangle():
@@ -56,14 +56,14 @@ def _corpus():
     k33 = UGraph.from_label_edges(range(6), [(i, 3 + j) for i in range(3) for j in range(3)])
     k4 = UGraph.from_label_edges(range(4), list(itertools.combinations(range(4), 2)))
     c5 = UGraph.from_label_edges(range(5), [(i, (i + 1) % 5) for i in range(5)])
-    edgeless = UGraph(tuple(range(5)), frozenset())
+    edgeless = UGraph.from_edges(range(5), ())
     return [triangle(), path4, k33, k4, c5, edgeless, petersen(), neighbourhood_graph(3, 1)]
 
 
 def _greedy(graph):
     # The kernel's greedy mode: with k equal to the vertex count its first
     # descent never backtracks.  Returns (assignment, colours used).
-    colour, _ = _dsatur(_bit_layout(graph.adjacency()), graph.vertex_count)
+    colour, _ = _dsatur(_bit_layout(graph.nbr), graph.vertex_count)
     return dict(zip(graph.labels, colour)), max(colour)
 
 
@@ -102,11 +102,9 @@ def test_verdict_does_not_depend_on_vertex_order(data):
     n = data.draw(st.integers(0, 10))
     pairs = list(itertools.combinations(range(n), 2))
     edges = data.draw(st.lists(st.sampled_from(pairs), max_size=25)) if pairs else []
-    graph = UGraph(tuple(range(n)), frozenset(edges))
+    graph = UGraph.from_edges(range(n), edges)
     perm = data.draw(st.permutations(range(n)))
-    permuted = UGraph(
-        tuple(range(n)), frozenset(tuple(sorted((perm[i], perm[j]))) for i, j in edges)
-    )
+    permuted = UGraph.from_edges(range(n), [(perm[i], perm[j]) for i, j in edges])
     k = data.draw(st.integers(1, 4))
     verdicts = []
     for g in (graph, permuted):
@@ -118,8 +116,8 @@ def test_verdict_does_not_depend_on_vertex_order(data):
 
 
 def test_edgeless_and_empty():
-    assert chromatic_number(UGraph(tuple(range(5)), frozenset())) == 1
-    assert chromatic_number(UGraph((), frozenset())) == 0
+    assert chromatic_number(UGraph(tuple(range(5)), (0,) * 5)) == 1
+    assert chromatic_number(UGraph((), ())) == 0
 
 
 def test_neighbourhood_graph_three_is_three_chromatic():
@@ -140,18 +138,18 @@ def test_chromatic_number_lays_the_graph_out_once(monkeypatch):
     # N(7, 1) has clique bound 3 and greedy bound 4, and chi = 4, so the
     # search tries k = 3 once; one layout serves both bounds and that try.
     g = neighbourhood_graph(7, 1)
-    layout = _bit_layout(g.adjacency())
+    layout = _bit_layout(g.nbr)
     assert len(_clique(layout)) == 3 and _greedy(g)[1] == 4
     assert _k_colourable(g, layout, 3, None) == k_colourable(g, 3)  # same verdict and nodes
     calls = []
 
-    def counted(adj):
-        calls.append(adj)
-        return _bit_layout(adj)
+    def counted(nbr):
+        calls.append(nbr)
+        return _bit_layout(nbr)
 
     monkeypatch.setattr(chroma, "_bit_layout", counted)
     assert chromatic_number(g) == 4
-    assert len(calls) == 1
+    assert calls == [g.nbr]
 
 
 # Up to about 20k windows: length 1 is K_n, n = 1 has no longer windows, and
@@ -166,8 +164,13 @@ _WINDOW_SHAPES = [
 
 @pytest.mark.parametrize("n,length", _WINDOW_SHAPES)
 def test_window_layout_equals_the_adjacency_layout(n, length):
-    adjacency = lexicographic_window_graph(n, length).adjacency()
-    assert _window_layout(n, length) == _bit_layout(adjacency)  # field for field
+    # W(n, length) in lexicographic order: its masks join the oracle's
+    # edges, and its layout is the one of masks ORed from those edges
+    windows, edges = dict_window_graph(n, length)
+    masks = window_masks(n, length, range(count_proper_sequences(n, length)))
+    assert len(masks) == len(windows)
+    assert mask_edges(masks) == edges
+    assert _bit_layout(masks) == _bit_layout(_masks(_adjacency_lists(len(windows), edges)))
 
 
 def test_worst_case_graph_sixteen_colourable():
@@ -268,7 +271,39 @@ def test_rejects_bad_k():
         export_cnf(triangle(), 0)
 
 
+def test_a_k_above_the_vertex_count_searches_with_one_colour_per_vertex(monkeypatch):
+    # No colour above the vertex count is ever tried, so the search runs
+    # with that many and the certificate keeps the k it was asked for.
+    g = neighbourhood_graph(5, 1)
+    assert g.vertex_count == 60
+    palettes = []
+
+    def dsatur(layout, k, *args, **kwargs):
+        palettes.append(k)
+        return _dsatur(layout, k, *args, **kwargs)
+
+    monkeypatch.setattr(chroma, "_dsatur", dsatur)
+    at_sixty = k_colourable(g, 60)
+    assert at_sixty.satisfiable and is_proper_colouring(g, at_sixty.assignment)
+    for k in (61, 10**6, 10**18):
+        assert k_colourable(g, k) == dataclasses.replace(at_sixty, k=k)
+    assert palettes == [60] * 4
+
+
 # --- the bitset kernel against a literal scan ---------------------------------
+
+
+def _adjacency_lists(n, edges):
+    """Adjacency lists from index pairs, as the literal references read a graph."""
+    adj = [[] for _ in range(n)]
+    for i, j in sorted(edges):
+        adj[i].append(j)
+        adj[j].append(i)
+    return adj
+
+
+def _masks(adj):
+    return [sum(1 << u for u in a) for a in adj]
 
 
 def _scan_dsatur(
@@ -343,7 +378,7 @@ def _both_kernels(adj, k, precolouring=None, seed=None, **limits):
     states show that the kernel's inline draws are theirs, call for call.
     """
     outcomes = []
-    for kernel, graph in ((_dsatur, _bit_layout(adj)), (_scan_dsatur, adj)):
+    for kernel, graph in ((_dsatur, _bit_layout(_masks(adj))), (_scan_dsatur, adj)):
         rng = None if seed is None else random.Random(seed)
         try:
             result = kernel(graph, k, precolouring, rng=rng, **limits)
@@ -366,8 +401,8 @@ def _set_greedy_clique(adj):
 
 def _search_input(graph, k):
     """Adjacency and the precoloured clique that k_colourable hands the kernel."""
-    adj = graph.adjacency()
-    clique = _clique(_bit_layout(adj))
+    adj = _adjacency_lists(graph.vertex_count, graph.edges)
+    clique = _clique(_bit_layout(graph.nbr))
     assert clique == _set_greedy_clique(adj)
     return adj, {v: i for i, v in enumerate(clique[:k], start=1)}
 
@@ -454,7 +489,7 @@ def test_kernel_matches_scan_on_random_graphs(case):
     adj, k, precolouring, seed, limits = case
     kernel, scan = _both_kernels(adj, k, precolouring, seed, **limits)
     assert kernel == scan
-    assert _clique(_bit_layout(adj)) == _set_greedy_clique(adj)
+    assert _clique(_bit_layout(_masks(adj))) == _set_greedy_clique(adj)
 
 
 def test_greedy_colouring_matches_scan():
@@ -463,7 +498,9 @@ def test_greedy_colouring_matches_scan():
         range(100), rng.sample(list(itertools.combinations(range(100), 2)), 600)
     )
     assignment, used = _greedy(graph)
-    colour, nodes = _scan_dsatur(graph.adjacency(), graph.vertex_count)
+    colour, nodes = _scan_dsatur(
+        _adjacency_lists(graph.vertex_count, graph.edges), graph.vertex_count
+    )
     assert [assignment[v] for v in range(100)] == colour
     assert (used, nodes) == (max(colour), 100)
 

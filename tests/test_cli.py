@@ -1,7 +1,12 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import pathchroma
 from pathchroma.cli import build_parser, main, parse_algorithm, parse_count
 from pathchroma.model import TowerValue
 
@@ -297,17 +302,60 @@ def test_colour_budget_caps_search_nodes(tmp_path, capsys):
     assert out == "UNSAT nodes=3951\n"
 
 
+def _capped_cli(*argv):
+    """Run the CLI in a child process whose address space is capped at 1 GiB."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from pathchroma.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(pathchroma.__file__).parents[1]))
+    env.pop("PATHCHROMA_BUDGET", None)
+    return subprocess.run(
+        [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+
+
+def test_colour_with_a_huge_k_answers_as_with_one_colour_per_vertex(tmp_path, capsys):
+    # N(5,1) has 60 vertices; k = 10^9 must not allocate a slot per colour
+    colfile = tmp_path / "n51.col"
+    code, _, _ = run(capsys, "graph", "--kind", "neighbourhood", "--n", "5", "--out", str(colfile))
+    assert code == 0
+    huge = _capped_cli("colour", "--input", str(colfile), "--k", "1000000000")
+    sixty = _capped_cli("colour", "--input", str(colfile), "--k", "60")
+    assert (huge.returncode, huge.stderr) == (0, "")
+    assert huge.stdout == sixty.stdout and sixty.stdout.startswith("v (1,2,3) 1\n")
+
+
+def test_colour_counts_dimacs_vertices_against_the_budget(tmp_path, capsys):
+    # 10^11 vertices against the default budget, in a capped child: a
+    # build of every vertex fails there, not in the test process
+    huge = tmp_path / "huge.col"
+    huge.write_text("p edge 100000000000 0\n")
+    capped = _capped_cli("colour", "--input", str(huge), "--k", "3")
+    assert (capped.returncode, capped.stdout) == (3, "")
+    assert capped.stderr == "budget exceeded: 100000000000 vertices exceed budget 100000000\n"
+    small = tmp_path / "small.col"
+    small.write_text("p edge 5 1\ne 1 2\n")
+    code, out, err = run(capsys, "colour", "--input", str(small), "--k", "3", "--budget", "4")
+    assert (code, out, err) == (3, "", "budget exceeded: 5 vertices exceed budget 4\n")
+    code, out, _ = run(capsys, "colour", "--input", str(small), "--k", "3", "--budget", "5")
+    assert code == 0 and out.startswith("v 1 1\nv 2 2\n")
+
+
 # Requests over their budget, at least one per command that takes --budget:
 # the tower of 4to3 to level 1 evaluates 4 * 3^2 + 4 * 3 = 48 windows,
 # W(12, 3) holds 12 * 11^2 = 1452 windows and W(300, 5) about 2.4 * 10^12
-# (over the default budget too), N(7,1) needs 3,951 search nodes and
-# lemma 4 examines 3^12 maps.
+# (over the default budget too), N(7,1) needs 3,951 search nodes, a
+# DIMACS header claims 10^6 vertices and lemma 4 examines 3^12 maps.
 _OVER_BUDGET = [
     "speedup --alg 4to3 --k 1 --budget 47",
     "graph --kind neighbourhood --n 12 --t 1 --budget 1451",
     "graph --kind neighbourhood --n 300 --t 2 --budget 1000",
     "graph --kind successor --alg 4to3 --k 1 --budget 47",
     "colour --input {n71} --k 3 --budget 10",
+    "colour --input {wide} --k 3 --budget 1000",
     "repro-paper --budget 10",
 ]
 
@@ -325,7 +373,9 @@ def test_every_budget_command_stops_at_its_budget(command, tmp_path, capsys, mon
     monkeypatch.delenv("PATHCHROMA_BUDGET", raising=False)
     n71 = tmp_path / "n71.col"
     assert run(capsys, "graph", "--kind", "neighbourhood", "--n", "7", "--out", str(n71))[0] == 0
-    argv = [arg.format(n71=n71) for arg in command.split()]
+    wide = tmp_path / "wide.col"
+    wide.write_text("p edge 1000000 0\n")
+    argv = [arg.format(n71=n71, wide=wide) for arg in command.split()]
     tracemalloc.start()
     try:
         code, out, err = run(capsys, *argv)

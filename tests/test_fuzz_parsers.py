@@ -3,8 +3,8 @@
 Every input either parses or raises ValueError, and through ``main`` every
 input a parser rejects exits 2 with nothing on stdout.  Integer sizes are
 bounded, so that valid but huge specs (``ns:k=1000000``, ``schedule:n=pt:5``,
-``p edge 1000000000 0``) are not generated: they parse, but running them
-takes seconds or allocates a name per vertex.
+``p edge 100000000 0``, at the default budget) are not generated: they
+parse, but running them takes seconds or allocates a name per vertex.
 """
 
 import contextlib

@@ -1,12 +1,14 @@
 import hashlib
 import itertools
+import random
 import tracemalloc
 
 import pytest
 
+import pathchroma.graphs as graphs
 from pathchroma.chroma import is_proper_colouring, k_colourable
 from pathchroma.errors import BudgetExceeded
-from pathchroma.model import canonical_label
+from pathchroma.model import canonical_label, count_proper_sequences, window_masks
 from pathchroma.graphs import (
     ColourClassPartition,
     UGraph,
@@ -21,7 +23,7 @@ from pathchroma.graphs import (
 )
 from pathchroma.reduce import compose, four_to_three, ns_schedule
 from pathchroma.speedup import iterate_speed_up, random_proper_table
-from window_graphs import lexicographic_window_graph
+from window_graphs import lexicographic_window_graph, mask_edges
 
 F = frozenset
 
@@ -36,11 +38,11 @@ def test_ugraph_basics():
     assert g.label_edges() == {F("ab"), F("bc"), F("ac")}
     path = UGraph.from_label_edges("abc", [("a", "b"), ("b", "c")])
     assert F("ab") in path.label_edges() and F("ac") not in path.label_edges()
-    assert sorted(len(a) for a in g.adjacency()) == [2, 2, 2]
+    assert sorted(map(int.bit_count, g.nbr)) == [2, 2, 2]
     with pytest.raises(ValueError):
         UGraph.from_label_edges("ab", [("a", "a")])
     with pytest.raises(ValueError):
-        UGraph(("a", "a"), frozenset())
+        UGraph(("a", "a"), (0, 0))
 
 
 def test_neighbourhood_graph_counts():
@@ -54,7 +56,7 @@ def test_neighbourhood_graph_counts():
         if u[1:] == v[:-1] or v[1:] == u[:-1]
     )
     assert shifts == 1050
-    assert all(len(a) == 10 for a in g.adjacency())
+    assert all(mask.bit_count() == 10 for mask in g.nbr)
 
 
 def test_neighbourhood_graph_three_colours():
@@ -120,7 +122,7 @@ def test_verify_partition_edge_cases():
     assert not verify_partition(g, bad)
     ok = ColourClassPartition((("a", F({"a"})), ("b", F({"b"})), ("c", F({"c"}))))
     assert verify_partition(g, ok)
-    edgeless = UGraph(("x", "y"), frozenset())
+    edgeless = UGraph(("x", "y"), (0, 0))
     assert verify_partition(edgeless, ColourClassPartition((("all", F({"x", "y"})),)))
     # double cover is rejected
     dup = ColourClassPartition((("a", F({"x", "y"})), ("b", F({"y"}))))
@@ -208,6 +210,94 @@ def test_dimacs_rejects_malformed():
         from_dimacs("p edge -3 0\n")
     with pytest.raises(ValueError, match="second problem line"):
         from_dimacs("p edge 2 1\np edge 3 0\ne 1 2\n")
+
+
+def test_dimacs_round_trip_keeps_the_paper_graphs():
+    for graph in (
+        neighbourhood_graph(7, 1),
+        neighbourhood_graph(9, 1),
+        neighbourhood_graph(10, 1, all_distinct=False),
+        neighbourhood_graph(5, 2),
+        worst_case_successor_graph(),
+        successor_graph_of(compose(ns_schedule(7)), 2),
+    ):
+        text = to_dimacs(graph)
+        back = from_dimacs(text)
+        # labels come back as their canonical strings, masks as they were
+        assert back == UGraph(tuple(map(canonical_label, graph.labels)), graph.nbr)
+        assert to_dimacs(back) == text
+        assert from_dimacs(to_dimacs(back)) == back
+
+
+def test_dimacs_counts_its_vertices_against_the_budget(monkeypatch):
+    # A default budget of 1000, so that a parser building every vertex
+    # first would build 10^6, not 10^11
+    monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 1000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded, match="^1000000 vertices exceed budget 1000$"):
+            from_dimacs("p edge 1000000 0\ne 1 2\n")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000  # no vertex was built
+    text = "c label 1 a\np edge 6 2\ne 1 2\ne 6 5\n"
+    with pytest.raises(BudgetExceeded, match="^6 vertices exceed budget 5$"):
+        from_dimacs(text, budget=5)
+    expected = UGraph.from_edges(("a", "2", "3", "4", "5", "6"), [(0, 1), (5, 4)])
+    assert from_dimacs(text, budget=6) == expected
+
+
+def test_every_builder_gives_symmetric_loop_free_masks():
+    # mask_edges fails on a mask that is not symmetric, has a loop or leaves the vertices
+    rng = random.Random(11)
+    for _ in range(200):
+        n = rng.randint(0, 70)
+        pairs = [(rng.randrange(n), rng.randrange(n)) for _ in range(rng.randint(0, 3 * n))]
+        pairs = [(i, j) for i, j in pairs if i != j]  # in both orders, some twice
+        edges = frozenset((min(i, j), max(i, j)) for i, j in pairs)
+        lines = [f"p edge {n} {len(pairs)}", *(f"e {i + 1} {j + 1}" for i, j in pairs)]
+        labelled = [(f"v{i}", f"v{j}") for i, j in pairs]
+        for graph in (
+            UGraph.from_edges(range(n), pairs),
+            UGraph.from_label_edges([f"v{i}" for i in range(n)], labelled),
+            from_dimacs("\n".join(lines)),
+        ):
+            assert mask_edges(graph.nbr) == edges == graph.edges
+            assert graph.edge_count == len(edges)
+    for n in range(1, 7):
+        for length in range(1, 5):
+            count = count_proper_sequences(n, length)
+            for size in (0, count // 2, count):
+                ranks = rng.sample(range(count), size)  # any windows, in any order
+                masks = window_masks(n, length, ranks)
+                assert len(masks) == size
+                mask_edges(masks)
+
+
+def test_ugraph_rejects_bad_masks():
+    labels = ("a", "b", "c")
+    assert UGraph(labels, (0b010, 0b101, 0b010)).edges == {(0, 1), (1, 2)}
+    with pytest.raises(ValueError, match="^loop at b$"):
+        UGraph(labels, (0b010, 0b111, 0b010))
+    with pytest.raises(ValueError, match="^neighbour mask outside the vertices$"):
+        UGraph(labels, (0b1000, 0, 0))
+    with pytest.raises(ValueError, match="^neighbour mask outside the vertices$"):
+        UGraph(labels, (-1, 0, 0))
+    for masks in ((0, 0), (0, 0, 0, 0)):
+        with pytest.raises(ValueError, match=f"^{len(masks)} neighbour masks for 3 vertices$"):
+            UGraph(labels, masks)
+    for pair in ((0, 3), (-1, 0), (1, 1)):
+        with pytest.raises(ValueError, match="^bad edge"):
+            UGraph.from_edges(labels, [pair])
+
+
+def test_is_subgraph_of_needs_every_label_and_edge():
+    path = UGraph.from_label_edges("abc", [("a", "b"), ("b", "c")])
+    assert path.is_subgraph_of(triangle())
+    assert not triangle().is_subgraph_of(path)  # the edge a-c is missing
+    assert UGraph.from_label_edges("ca", [("a", "c")]).is_subgraph_of(triangle())
+    assert not UGraph.from_label_edges("abd", []).is_subgraph_of(triangle())
 
 
 def _reference_neighbourhood_graph(n, t, all_distinct):

@@ -36,7 +36,7 @@ from pathchroma.model import (
     sampled_properness_check,
     tower,
     two_sided_from_one_sided,
-    window_edges,
+    window_masks,
 )
 from pathchroma.reduce import (
     compose,
@@ -47,6 +47,7 @@ from pathchroma.reduce import (
     shift_reduce,
 )
 from pathchroma.speedup import compose_colouring
+from window_graphs import dict_window_graph, mask_edges, product_sequences
 
 
 def test_log_star_small_values():
@@ -217,19 +218,11 @@ def test_proper_sequences_count(n, length):
     assert sum(1 for _ in proper_sequences(n, length)) == count_proper_sequences(n, length)
 
 
-def _product_sequences(n, length):
-    # every sequence over [n] in lexicographic order, less those with equal neighbours
-    return [
-        w for w in itertools.product(range(1, n + 1), repeat=length)
-        if all(a != b for a, b in zip(w, w[1:]))
-    ]
-
-
 @pytest.mark.parametrize("n", range(1, 7))
 @pytest.mark.parametrize("length", range(6))
 def test_proper_sequences_match_the_product_order(n, length):
     if n**length <= 10**5:
-        assert list(proper_sequences(n, length)) == _product_sequences(n, length)
+        assert list(proper_sequences(n, length)) == product_sequences(n, length)
 
 
 def test_proper_sequences_of_any_length():
@@ -244,35 +237,20 @@ def test_proper_sequences_of_any_length():
 def test_suffix_ranks_match_the_enumeration(n):
     # n = 2 has one window per first colour and length (m = 1); n = 1 has none of length 2
     for length in range(2, 6):
-        rank = {w: r for r, w in enumerate(_product_sequences(n, length - 1))}
-        expected = [rank[w[1:]] for w in _product_sequences(n, length)]
+        rank = {w: r for r, w in enumerate(product_sequences(n, length - 1))}
+        expected = [rank[w[1:]] for w in product_sequences(n, length)]
         assert list(_suffix_ranks(n, length)) == expected
-
-
-def _dict_window_graph(n, length, all_distinct):
-    # windows hashed into a dict, and each shift looked up by its tuple
-    windows = tuple(
-        w for w in _product_sequences(n, length) if not all_distinct or len(set(w)) == length
-    )
-    index = {w: i for i, w in enumerate(windows)}
-    edges = set()
-    for i, w in enumerate(windows):
-        for y in range(1, n + 1):
-            j = index.get(w[1:] + (y,))
-            if j is not None and j != i:
-                edges.add((min(i, j), max(i, j)))
-    return windows, frozenset(edges)
 
 
 @pytest.mark.parametrize("all_distinct", [False, True])
 @pytest.mark.parametrize("length", range(1, 5))
 @pytest.mark.parametrize("n", range(2, 10))
 def test_window_graph_matches_the_dict_builder(n, length, all_distinct):
-    # window_edges over the oracle's windows in three vertex orders:
+    # window_masks over the oracle's windows in three vertex orders:
     # lexicographic, nested (by largest colour) and a seeded shuffle; the
     # oracle's edges are relabelled by position
-    windows, edges = _dict_window_graph(n, length, all_distinct)
-    lexicographic = _product_sequences(n, length)
+    windows, edges = dict_window_graph(n, length, all_distinct)
+    lexicographic = product_sequences(n, length)
     assert list(proper_sequences(n, length)) == lexicographic  # ranks are these indices
     rank = {w: r for r, w in enumerate(lexicographic)}
     shuffled = list(range(len(windows)))
@@ -281,7 +259,8 @@ def test_window_graph_matches_the_dict_builder(n, length, all_distinct):
     for order in (range(len(windows)), nested, shuffled):
         position = {i: p for p, i in enumerate(order)}
         relabelled = {tuple(sorted((position[i], position[j]))) for i, j in edges}
-        assert window_edges(n, length, [rank[windows[i]] for i in order]) == relabelled
+        masks = window_masks(n, length, [rank[windows[i]] for i in order])
+        assert mask_edges(masks) == relabelled
 
 
 def test_exhaustive_check_passes_identity_rejects_constant():

@@ -7,7 +7,7 @@ import pytest
 
 import pathchroma.chroma as chroma
 import pathchroma.model as model
-from pathchroma.chroma import _dsatur, _window_layout, k_colourable
+from pathchroma.chroma import _bit_layout, _dsatur, k_colourable
 from pathchroma.errors import BudgetExceeded
 from pathchroma.model import (
     ONE_SIDED,
@@ -22,6 +22,7 @@ from pathchroma.model import (
     proper_sequences,
     run_algorithm,
     two_sided_from_one_sided,
+    window_masks,
 )
 from pathchroma.reduce import compose, cv_algorithm, four_to_three, ns_algorithm, ns_schedule
 import pathchroma.speedup as speedup
@@ -275,10 +276,14 @@ def test_random_proper_table_says_when_feasibility_is_open():
 
 def test_random_proper_table_lays_out_its_window_graph_once(monkeypatch):
     # (7, 2, 4) with seed 10 takes six restarts, and a complete search after the first.
-    layouts, searched = [], []
+    masks, layouts, searched = [], [], []
 
-    def window_layout(n, length):
-        layouts.append(_window_layout(n, length))
+    def counted_masks(n, length, ranks):
+        masks.append(window_masks(n, length, ranks))
+        return masks[-1]
+
+    def bit_layout(nbr):
+        layouts.append(_bit_layout(nbr))
         return layouts[-1]
 
     def dsatur(layout, *args, **kwargs):
@@ -286,20 +291,15 @@ def test_random_proper_table_lays_out_its_window_graph_once(monkeypatch):
         return _dsatur(layout, *args, **kwargs)
 
     def unused(*args, **kwargs):
-        raise AssertionError("the sampler builds no edge set, graph or adjacency layout")
+        raise AssertionError("the sampler builds no UGraph or edge set")
 
-    monkeypatch.setattr(speedup, "_window_layout", window_layout)
+    monkeypatch.setattr(speedup, "window_masks", counted_masks)
+    monkeypatch.setattr(speedup, "_bit_layout", bit_layout)
     monkeypatch.setattr(speedup, "_dsatur", dsatur)
-    for module, name in (
-        (speedup, "window_edges"),
-        (speedup, "UGraph"),
-        (speedup, "_bit_layout"),
-        (model, "window_edges"),
-        (chroma, "_bit_layout"),
-    ):
-        monkeypatch.setattr(module, name, unused, raising=False)
+    monkeypatch.setattr(chroma.UGraph, "__post_init__", unused)  # every UGraph runs it
+    monkeypatch.setattr(chroma.UGraph, "edges", property(unused))
     random_proper_table(7, 2, 4, 10)
-    assert len(layouts) == 1
+    assert len(masks) == 1 and len(layouts) == 1 and layouts[0].nbr is masks[0]
     assert len(searched) == 7 and all(layout is layouts[0] for layout in searched)
 
 

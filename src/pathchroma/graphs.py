@@ -192,7 +192,11 @@ def from_dimacs(text: str, *, budget: int | None = None) -> UGraph:
     errors.  The edge count on the ``p`` line is not checked: files in the
     wild often count each edge twice.  Raises :class:`BudgetExceeded` as
     soon as the ``p`` line claims more than ``budget`` vertices (default
-    ``DEFAULT_BUDGET``), before any vertex is built.
+    ``DEFAULT_BUDGET``), before any vertex is built, and before any mask is
+    built when the masks would need more bits than the budget, or than
+    ``DEFAULT_BUDGET`` if that is larger: a vertex's mask needs its highest
+    neighbour index plus 1 bits.  So a small budget, which in ``colour`` is
+    also the search's node limit, does not refuse a small dense graph.
     """
     budget = DEFAULT_BUDGET if budget is None else budget
     n = None
@@ -230,5 +234,12 @@ def from_dimacs(text: str, *, budget: int | None = None) -> UGraph:
         raise ValueError("edge endpoint outside vertex range")
     if any(not 0 <= vertex < n for vertex in labels):
         raise ValueError("label for a vertex outside the vertex range")
+    width: dict[int, int] = {}  # vertex -> bits of its mask
+    for u, v in edges:
+        width[u] = max(width.get(u, 0), v + 1)
+        width[v] = max(width.get(v, 0), u + 1)
+    bits, cap = sum(width.values()), max(budget, DEFAULT_BUDGET)
+    if bits > cap:
+        raise BudgetExceeded(f"{bits} mask bits exceed budget {cap}")
     names = tuple(labels.get(i, str(i + 1)) for i in range(n))
     return UGraph.from_edges(names, edges)

@@ -212,30 +212,30 @@ def _checked_instance(
     return instance
 
 
-def _columns_distinct(columns: Sequence[bytes]) -> bool:
-    """True iff no two neighbouring columns hold an equal byte at any index.
+def _columns_distinct(columns: Sequence[Sequence[int]]) -> bool:
+    """True iff no two neighbouring columns hold an equal entry at any index.
 
-    In C: a zero byte in the XOR of two columns marks an equal pair.
+    Byte columns are compared in C: a zero byte in the XOR of two columns
+    marks an equal pair.  Other sequences are compared entry by entry.
     """
     for a, b in zip(columns, columns[1:]):
-        pairs = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
-        if 0 in pairs.to_bytes(len(a), "big"):
+        if isinstance(a, (bytes, bytearray)):
+            pairs = int.from_bytes(a, "big") ^ int.from_bytes(b, "big")
+            if 0 in pairs.to_bytes(len(a), "big"):
+                return False
+        elif any(map(eq, a, b)):
             return False
     return True
-
-
-def _adjacent_distinct(seq: bytes) -> bool:
-    """True iff no two neighbours in ``seq`` are equal."""
-    return _columns_distinct((seq[:-1], seq[1:]))
 
 
 def is_proper(instance: PathInstance) -> bool:
     """True iff all adjacent labels differ, including the wrap-around pair on cycles."""
     labels = instance.labels
     try:
-        proper = _adjacent_distinct(bytes(labels))
+        seq = bytes(labels)
     except ValueError:  # a label above 255
-        proper = not any(map(eq, labels, itertools.islice(labels, 1, None)))
+        seq = labels
+    proper = _columns_distinct((seq[:-1], seq[1:]))
     return proper and not (instance.topology == CYCLE and labels[-1] == labels[0])
 
 
@@ -319,29 +319,24 @@ class _WindowTable(dict):
         return value
 
 
-def _check_stage_input(seq, stage: ReductionAlgorithm, columns: Sequence[bytes] = ()) -> None:
+def _check_stage_input(seq, stage: ReductionAlgorithm, columns: Sequence = ()) -> None:
     """Raise a ValueError naming ``stage`` unless ``seq`` is a proper colouring for it.
 
-    ``run_algorithm`` checks each later stage's input sequence.  The
-    speed-up tower's level 0 checks each distinct input window of a table
-    stage, and for a byte stage the previous stage's outputs, ``seq``, for
-    the palette and the stage's window ``columns`` for equal neighbours.
-    Bytes are checked in C: one ``translate`` deletes the colours 1..n, and
-    a zero byte in the XOR of two neighbouring columns (by default ``seq``
-    and ``seq`` shifted by one) marks equal neighbours.
+    ``run_algorithm`` checks each later stage's input sequence, and the
+    speed-up tower's level 0 the previous stage's outputs, ``seq``, for the
+    palette and the stage's window ``columns`` for equal neighbours.  Bytes
+    are checked in C: one ``translate`` deletes the colours 1..n.  The
+    neighbour test, ``_columns_distinct``, compares neighbouring columns,
+    by default ``seq`` and ``seq`` shifted by one.
     """
     n = stage.in_palette.size
     if isinstance(seq, bytes):
         in_range = not seq.translate(None, bytes(range(1, min(n, 255) + 1)))
-        proper = in_range and _columns_distinct(columns or (seq[:-1], seq[1:]))
     else:
-        proper = (
-            all(map(isinstance, seq, itertools.repeat(int)))
-            and 1 <= min(seq)
-            and max(seq) <= n
-            and not any(map(eq, seq, itertools.islice(seq, 1, None)))
+        in_range = (
+            all(map(isinstance, seq, itertools.repeat(int))) and 1 <= min(seq) and max(seq) <= n
         )
-    if not proper:
+    if not (in_range and _columns_distinct(columns or (seq[:-1], seq[1:]))):
         raise ValueError(
             f"the input of stage {stage.name} is not a proper colouring"
             f" over {stage.in_palette} colours"
@@ -359,7 +354,7 @@ def _byte_sized(stage: ReductionAlgorithm) -> bool:
     )
 
 
-def _byte_stage(columns: Sequence[bytes], stage: ReductionAlgorithm) -> bytes:
+def _byte_stage(columns: Sequence[Sequence[int]], stage: ReductionAlgorithm) -> bytes:
     """One byte-sized stage (see ``_byte_sized``) over the columns of its windows, in C.
 
     Column i holds entry i of every window, and the windows are proper
@@ -372,8 +367,7 @@ def _byte_stage(columns: Sequence[bytes], stage: ReductionAlgorithm) -> bytes:
     ``bytes.translate``.  The rule is called on every valid window, present
     in the columns or not, as ``exhaustive_properness_check`` calls it, and
     each of its values must fit a byte, or a ValueError names the stage and
-    window.  ``run_algorithm`` takes the columns as shifted slices of its
-    sequence, the speed-up tower's level 0 from rank blocks.
+    window.  ``_run_stage`` chooses it.
     """
     rule, n = stage.rule, stage.in_palette.size
     table = bytearray(256)
@@ -396,6 +390,26 @@ def _byte_stage(columns: Sequence[bytes], stage: ReductionAlgorithm) -> bytes:
     return codes.to_bytes(m, "big").translate(table)
 
 
+def _run_stage(stage: ReductionAlgorithm, columns: Sequence[Sequence[int]], count: int):
+    """The stage's outputs on the windows whose entries ``columns`` hold.
+
+    Column i holds entry i of every window, and the windows are checked
+    proper colourings over the stage's input palette.  The only place a
+    stage's evaluation path is chosen: a stage with no more valid windows
+    than ``count`` is evaluated through a table, once per valid window
+    (``_byte_stage``) when it is ``_byte_sized``, else once per distinct
+    window (``_WindowTable``); any other stage calls its rule on every
+    window.  ``run_algorithm`` passes its node count, so a 3-node path stays
+    off the byte path, and the speed-up tower's level 0 its window count.
+    """
+    n, rule = stage.in_palette.size, stage.rule
+    if isinstance(n, int) and count_proper_sequences(n, stage.window_length) <= count:
+        if _byte_sized(stage):
+            return _byte_stage(columns, stage)
+        rule = _WindowTable(rule).__getitem__
+    return list(map(rule, zip(*columns)))
+
+
 def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstance:
     """Relabel an instance by applying the algorithm's rule at every node.
 
@@ -410,15 +424,11 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     and records its palette, and any other instance, also one copied from
     it by ``dataclasses.replace``, is checked.  Each later stage's
     input, the output of the stage before it, is checked before it runs,
-    and a ValueError names the stage whose input fails.  Each stage then
-    takes one path, chosen before it runs.  A one-round stage whose rule
-    has a sequence form, ``rule.over(seq)``, gets its outputs from that
-    form as bytes (``ns_algorithm`` and ``cv_algorithm`` give their rules
-    one where its lanes fit 8 bytes).  A stage with no more valid windows
-    than the instance has nodes is evaluated through a table: once per
-    valid window (``_byte_stage``) when its colours and outputs fit a byte
-    and at most 256 window codes exist, else once per distinct window
-    (``_WindowTable``).  Any other stage calls its rule at every node.
+    and a ValueError names the stage whose input fails.  A one-round stage
+    whose rule has a sequence form, ``rule.over(seq)``, gets its outputs
+    from that form as bytes (``ns_algorithm`` and ``cv_algorithm`` give
+    their rules one where its lanes fit 8 bytes); any other stage runs
+    through ``_run_stage`` on shifted slices of the sequence.
     """
     labels = instance.labels
     proper_over = getattr(instance, "_proper_over", None)
@@ -442,19 +452,12 @@ def run_algorithm(alg: ReductionAlgorithm, instance: PathInstance) -> PathInstan
     for i, stage in enumerate(alg.stages or (alg,)):
         if i:
             _check_stage_input(seq, stage)
-        n = stage.in_palette.size
         wl = stage.window_length
-        rule = stage.rule
-        if wl == 2 and hasattr(rule, "over"):
-            seq = rule.over(seq)
-            continue
-        if isinstance(n, int) and count_proper_sequences(n, wl) <= length:
-            if _byte_sized(stage):
-                seq, m = bytes(seq), len(seq) - wl + 1
-                seq = _byte_stage([seq[j : m + j] for j in range(wl)], stage)
-                continue
-            rule = _WindowTable(rule).__getitem__
-        seq = list(map(rule, zip(*(seq[j:] for j in range(wl)))))
+        if wl == 2 and hasattr(stage.rule, "over"):
+            seq = stage.rule.over(seq)
+        else:
+            m = len(seq) - wl + 1
+            seq = _run_stage(stage, [seq[j : m + j] for j in range(wl)], length)
     assert len(seq) == length
     if isinstance(seq, bytes):  # bytes hold ints below 256, so only 0 is no label
         if 0 in seq:

@@ -344,6 +344,17 @@ def test_colour_counts_dimacs_vertices_against_the_budget(tmp_path, capsys):
     assert code == 0 and out.startswith("v 1 1\nv 2 2\n")
 
 
+def test_colour_counts_dimacs_mask_bits_against_the_budget(tmp_path):
+    # 200 disjoint edges among the top 400 of 10^6 vertices: few vertices
+    # and edges, but each of the 400 masks would need about 10^6 bits
+    sparse = tmp_path / "sparse.col"
+    edges = [f"e {999_601 + 2 * i} {999_602 + 2 * i}" for i in range(200)]
+    sparse.write_text("\n".join(["p edge 1000000 200", *edges]) + "\n")
+    capped = _capped_cli("colour", "--input", str(sparse), "--k", "3")
+    assert (capped.returncode, capped.stdout) == (3, "")
+    assert capped.stderr == "budget exceeded: 399920200 mask bits exceed budget 100000000\n"
+
+
 # Requests over their budget, at least one per command that takes --budget:
 # the tower of 4to3 to level 1 evaluates 4 * 3^2 + 4 * 3 = 48 windows,
 # W(12, 3) holds 12 * 11^2 = 1452 windows and W(300, 5) about 2.4 * 10^12

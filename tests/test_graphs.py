@@ -248,6 +248,18 @@ def test_dimacs_counts_its_vertices_against_the_budget(monkeypatch):
     assert from_dimacs(text, budget=6) == expected
 
 
+def test_dimacs_counts_its_mask_bits_against_the_budget(monkeypatch):
+    # masks of 2, 1, 6 and 5 bits: vertices 1, 2, 5 and 6, by highest
+    # neighbour; a budget below the default charges them against the default
+    text = "p edge 6 2\ne 1 2\ne 6 5\n"
+    monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 13)
+    with pytest.raises(BudgetExceeded, match="^14 mask bits exceed budget 13$"):
+        from_dimacs(text, budget=6)
+    assert from_dimacs(text, budget=14).edge_count == 2
+    monkeypatch.setattr(graphs, "DEFAULT_BUDGET", 14)
+    assert from_dimacs(text, budget=6).edge_count == 2
+
+
 def test_every_builder_gives_symmetric_loop_free_masks():
     # mask_edges fails on a mask that is not symmetric, has a loop or leaves the vertices
     rng = random.Random(11)

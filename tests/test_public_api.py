@@ -55,6 +55,20 @@ def test_module_layering():
     assert upward == []
 
 
+def test_only_model_chooses_a_stage_path():
+    # model._run_stage chooses how a stage is evaluated, for the simulator
+    # and the speed-up tower's level 0 alike; no other module reads the
+    # names that make that choice.
+    choosers = {"_byte_sized", "_byte_stage"}
+    readers = [
+        f"{path.stem}: {name}"
+        for path, tree in _trees(PACKAGE).items()
+        if path.stem != "model"
+        for name in sorted(_reads(tree) & choosers)
+    ]
+    assert readers == []
+
+
 def _trees(*dirs):
     return {path: ast.parse(path.read_text()) for d in dirs for path in sorted(d.glob("*.py"))}
 

@@ -24,7 +24,14 @@ from pathchroma.model import (
     two_sided_from_one_sided,
     window_masks,
 )
-from pathchroma.reduce import compose, cv_algorithm, four_to_three, ns_algorithm, ns_schedule
+from pathchroma.reduce import (
+    compose,
+    cv_algorithm,
+    four_to_three,
+    ns_algorithm,
+    ns_schedule,
+    shift_reduce,
+)
 import pathchroma.speedup as speedup
 from pathchroma.speedup import (
     ColourRelation,
@@ -477,6 +484,10 @@ _LEVEL_ZERO_SOURCES = [
     compose((identity_algorithm(4), four_to_three(), identity_algorithm(3))),
     # a byte stage, a window-table stage (17^2 codes exceed a byte) and a byte stage again
     compose((identity_algorithm(17), identity_algorithm(17), *ns_schedule(17).stages[:2])),
+    # a stage of 20 colours and t = 2 on byte columns, each drop taken
+    compose((identity_algorithm(20), shift_reduce(19))),
+    # list columns: colours above 255
+    compose((identity_algorithm(300), ns_algorithm(300, 6))),
     four_to_three(),
     identity_algorithm(5),
     *(random_proper_table(n, t, c, seed=seed) for n, t, c, seed in [(4, 2, 3, 0), (5, 3, 4, 7)]),
@@ -499,10 +510,12 @@ def test_stage_wise_level_zero_matches_the_rule(alg):
 def test_level_zero_checks_each_later_stage_input(bad):
     # The lying first stage turns colour 3 into ``bad``, which leaves the
     # next stage's palette or, for ns and bad = 5, merges colours 3 and 5;
-    # the merging one merges colours 1 and 2.  run_algorithm stops such a
-    # pipeline, and the tower's stage-wise level 0 stops it with the same
-    # message, through ns's window table on 20 colours and through 4to3's
-    # byte passes.  A 3-node path keeps the simulator off its byte path.
+    # the merging one merges colours 1 and 2, and the wide one feeds the
+    # values 0 and 301 to ns on 300 colours, so level 0 holds them in a
+    # list.  run_algorithm stops such a pipeline, and the tower's stage-wise
+    # level 0 stops it with the same message, before ns's window table on
+    # 20 or 300 colours and before 4to3's byte passes.  A 3-node path keeps
+    # the simulator off its byte path.
     def lying(n):
         return ReductionAlgorithm(
             ONE_SIDED, 0, Palette(n), Palette(n), lambda w: bad if w[0] == 3 else w[0], name="lying"
@@ -511,10 +524,14 @@ def test_level_zero_checks_each_later_stage_input(bad):
     merging = ReductionAlgorithm(
         ONE_SIDED, 0, Palette(4), Palette(4), lambda w: max(w[0], 2), name="merging"
     )
+    wide = ReductionAlgorithm(
+        ONE_SIDED, 0, Palette(300), Palette(300), lambda w: {3: 0, 5: 301}.get(w[0], w[0])
+    )
     pipelines = [
         (compose([lying(20), ns_algorithm(20, 3)]), (3, 5, 1), "ns k=3", 20),
         (compose([lying(4), four_to_three()]), (3, 4, 1), "4to3", 4),
         (compose([merging, four_to_three()]), (1, 2, 3), "4to3", 4),
+        (compose([wide, ns_algorithm(300, 6)]), (3, 5, 1), "ns k=6", 300),
     ]
     for alg, labels, name, n in pipelines:
         message = f"input of stage {name} is not a proper colouring over {n} colours"
@@ -532,12 +549,13 @@ def test_level_zero_checks_each_later_stage_input(bad):
 
 def test_byte_sized_level_zero_never_builds_a_window_table(monkeypatch):
     tables = []
+    window_table = model._WindowTable
 
     def spy(rule):
         tables.append(rule)
-        return model._WindowTable(rule)
+        return window_table(rule)
 
-    monkeypatch.setattr(speedup, "_WindowTable", spy)
+    monkeypatch.setattr(model, "_WindowTable", spy)
     iterate_speed_up(compose(ns_schedule(8)), 0)
     assert tables == []
     # 20 colours give 400 window codes, more than a byte holds
